@@ -3,14 +3,39 @@
 
 use bench::harness::Runner;
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
+use gem5sim::observe::{ExecutionObserver, Obs};
 use gem5sim::system::System;
 use gem5sim_event::{EventQueue, Priority};
 use gem5sim_workloads::{Scale, Workload};
 use hostmodel::HostEngine;
-use hosttrace::record::{ExecRecord, TraceSink};
+use hosttrace::record::{replay, ExecRecord, RecordingSink, TraceEvent, TraceSink};
 use hosttrace::registry::FunctionId;
-use hosttrace::{BinaryVariant, PageBacking, Registry};
+use hosttrace::{BinaryVariant, PageBacking, Registry, TraceAdapter};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// Records the host stream of one guest run (dedup, O3, SE, test
+/// scale): what the trace cache holds for a real experiment.
+fn record_dedup_o3(reg: &Arc<Registry>) -> Vec<TraceEvent> {
+    let adapter = Rc::new(RefCell::new(TraceAdapter::new(
+        Arc::clone(reg),
+        RecordingSink::with_cap(usize::MAX),
+    )));
+    let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
+    let mut sys = System::with_observer(
+        SystemConfig::new(CpuModel::O3, SimMode::Se),
+        Workload::Dedup.program(Scale::Test),
+        obs,
+    );
+    sys.run();
+    drop(sys);
+    let Ok(adapter) = Rc::try_unwrap(adapter) else {
+        panic!("system dropped; adapter uniquely owned");
+    };
+    let (recorder, _) = adapter.into_inner().into_parts();
+    recorder.into_events().expect("uncapped recorder")
+}
 
 fn main() {
     let mut r = Runner::from_args();
@@ -45,6 +70,13 @@ fn main() {
                 variant: i / 4000,
             });
         }
+        e.finish().cycles
+    });
+
+    let events = record_dedup_o3(&reg);
+    r.bench("host_engine/replay_recorded_dedup_o3", || {
+        let mut e = HostEngine::new(platforms::intel_xeon().config, Arc::clone(&reg));
+        replay(&events, &mut e);
         e.finish().cycles
     });
 

@@ -175,8 +175,8 @@ fn main() {
         result.guest_ipc()
     );
     if a.stats {
-        println!("---------- Begin Simulation Statistics ----------");
-        print!("{}", result.stat_dump());
-        println!("---------- End Simulation Statistics   ----------");
+        bench::outln!("---------- Begin Simulation Statistics ----------");
+        bench::out!("{}", result.stat_dump());
+        bench::outln!("---------- End Simulation Statistics   ----------");
     }
 }

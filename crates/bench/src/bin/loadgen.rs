@@ -357,27 +357,27 @@ fn main() {
                 hit_rate.map_or(Json::Null, Json::Num),
             ),
         ]);
-        println!("{}", report.to_string_pretty());
+        bench::outln!("{}", report.to_string_pretty());
     } else {
-        println!(
+        bench::outln!(
             "loadgen: {clients} clients × {requests} requests over {:.2}s",
             wall.as_secs_f64()
         );
-        println!("  completed:   {completed} ({rps:.0} req/s)");
-        println!("  dropped:     {dropped}");
-        println!("  retries:     {retried}");
-        println!("  latency:     p50 {p50} µs, p90 {p90} µs, p95 {p95} µs, p99 {p99} µs");
+        bench::outln!("  completed:   {completed} ({rps:.0} req/s)");
+        bench::outln!("  dropped:     {dropped}");
+        bench::outln!("  retries:     {retried}");
+        bench::outln!("  latency:     p50 {p50} µs, p90 {p90} µs, p95 {p95} µs, p99 {p99} µs");
         if overflow > 0 {
-            println!("  overflow:    {overflow} samples past the last histogram bound");
+            bench::outln!("  overflow:    {overflow} samples past the last histogram bound");
         }
         for (s, n) in &statuses {
-            println!("  status {s}:  {n}");
+            bench::outln!("  status {s}:  {n}");
         }
         if let Some(h) = hit_rate {
-            println!("  result-cache hit rate: {:.1}%", 100.0 * h);
+            bench::outln!("  result-cache hit rate: {:.1}%", 100.0 * h);
         }
         if let Some(id) = snapshot_id {
-            println!("  profile snapshot: {}", id as u64);
+            bench::outln!("  profile snapshot: {}", id as u64);
         }
     }
     std::process::exit(if dropped == 0 { 0 } else { 1 });
@@ -685,18 +685,18 @@ fn run_open_loop(
             ),
             ("responses", Json::Obj(status_obj)),
         ]);
-        println!("{}", report.to_string_pretty());
+        bench::outln!("{}", report.to_string_pretty());
     } else {
-        println!(
+        bench::outln!(
             "loadgen (open loop): {connections} connections × {requests} requests over {:.2}s",
             wall.as_secs_f64()
         );
-        println!("  max established: {max_established}");
-        println!("  completed:   {completed} ({rps:.0} req/s)");
-        println!("  dropped:     {dropped}");
-        println!("  latency:     p50 {p50} µs, p90 {p90} µs, p95 {p95} µs, p99 {p99} µs");
+        bench::outln!("  max established: {max_established}");
+        bench::outln!("  completed:   {completed} ({rps:.0} req/s)");
+        bench::outln!("  dropped:     {dropped}");
+        bench::outln!("  latency:     p50 {p50} µs, p90 {p90} µs, p95 {p95} µs, p99 {p99} µs");
         for (s, n) in &statuses {
-            println!("  status {s}:  {n}");
+            bench::outln!("  status {s}:  {n}");
         }
     }
     std::process::exit(if dropped == 0 { 0 } else { 1 });

@@ -83,31 +83,31 @@ fn main() {
     match cmd {
         "all" => {
             for t in figures::all_figures(f) {
-                println!("{t}");
+                bench::outln!("{t}");
             }
         }
-        "table1" => println!("{}", figures::table1()),
-        "table2" => println!("{}", figures::table2()),
-        "fig1" => println!("{}", figures::fig01(f)),
-        "fig2" => println!("{}", figures::fig02(f)),
-        "fig3" => println!("{}", figures::fig03(f)),
-        "fig4" => println!("{}", figures::fig04(f)),
-        "fig5" => println!("{}", figures::fig05(f)),
-        "fig6" => println!("{}", figures::fig06(f)),
-        "fig7" => println!("{}", figures::fig07(f)),
-        "fig8" => println!("{}", figures::fig08(f)),
-        "fig9" => println!("{}", figures::fig09(f)),
-        "fig10" => println!("{}", figures::fig10(f)),
-        "fig11" => println!("{}", figures::fig11(f)),
-        "fig12" => println!("{}", figures::fig12(f)),
-        "fig13" => println!("{}", figures::fig13(f)),
-        "fig14" => println!("{}", figures::fig14(f)),
-        "fig15" => println!("{}", figures::fig15(f)),
-        "fig16" => println!("{}", figures::fig16(f)),
-        "fig17" => println!("{}", figures::fig17(f)),
+        "table1" => bench::outln!("{}", figures::table1()),
+        "table2" => bench::outln!("{}", figures::table2()),
+        "fig1" => bench::outln!("{}", figures::fig01(f)),
+        "fig2" => bench::outln!("{}", figures::fig02(f)),
+        "fig3" => bench::outln!("{}", figures::fig03(f)),
+        "fig4" => bench::outln!("{}", figures::fig04(f)),
+        "fig5" => bench::outln!("{}", figures::fig05(f)),
+        "fig6" => bench::outln!("{}", figures::fig06(f)),
+        "fig7" => bench::outln!("{}", figures::fig07(f)),
+        "fig8" => bench::outln!("{}", figures::fig08(f)),
+        "fig9" => bench::outln!("{}", figures::fig09(f)),
+        "fig10" => bench::outln!("{}", figures::fig10(f)),
+        "fig11" => bench::outln!("{}", figures::fig11(f)),
+        "fig12" => bench::outln!("{}", figures::fig12(f)),
+        "fig13" => bench::outln!("{}", figures::fig13(f)),
+        "fig14" => bench::outln!("{}", figures::fig14(f)),
+        "fig15" => bench::outln!("{}", figures::fig15(f)),
+        "fig16" => bench::outln!("{}", figures::fig16(f)),
+        "fig17" => bench::outln!("{}", figures::fig17(f)),
         "ablation" => {
-            println!("{}", ablation::accelerator_study(f));
-            println!("{}", ablation::host_mechanism_ablation(f));
+            bench::outln!("{}", ablation::accelerator_study(f));
+            bench::outln!("{}", ablation::host_mechanism_ablation(f));
         }
         "hottest" => {
             let cpu = match args.get(1).map(String::as_str) {
@@ -116,9 +116,9 @@ fn main() {
                 Some("minor") => CpuModel::Minor,
                 _ => CpuModel::O3,
             };
-            println!("hottest functions ({cpu:?}, water_nsquared):");
+            bench::outln!("hottest functions ({cpu:?}, water_nsquared):");
             for (name, calls, share) in figures::fig15_hottest(f, cpu, 20) {
-                println!("  {name:<40} {calls:>10} calls {:>6.2}%", 100.0 * share);
+                bench::outln!("  {name:<40} {calls:>10} calls {:>6.2}%", 100.0 * share);
             }
         }
         other => {

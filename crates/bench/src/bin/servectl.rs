@@ -77,7 +77,7 @@ fn cluster_spawn(n: usize, addr: &str, cache_dir: Option<&str>, port_file: Optio
         Ok(child) => {
             // The child outlives servectl (dropping a Child does not
             // kill it); `cluster drain` or SIGTERM stops it later.
-            println!(
+            bench::outln!(
                 "servectl: spawned gem5prof-cluster (pid {}) with {n} nodes on {addr}",
                 child.id()
             );
@@ -197,8 +197,8 @@ fn main() {
         Ok((status, body)) => {
             eprintln!("{method} {path} → {status}");
             match minjson::parse(&body) {
-                Ok(doc) => println!("{}", doc.to_string_pretty()),
-                Err(_) => println!("{body}"),
+                Ok(doc) => bench::outln!("{}", doc.to_string_pretty()),
+                Err(_) => bench::outln!("{body}"),
             }
             if !(200..300).contains(&status) {
                 std::process::exit(1);

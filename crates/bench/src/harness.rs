@@ -4,8 +4,9 @@
 //! `cargo bench` invokes the target with `--bench` plus any user filter
 //! strings; the runner warms each benchmark up once, then iterates until
 //! a time budget (or iteration cap) is reached and prints min / mean /
-//! max wall time per iteration. Deliberately no statistics beyond that —
-//! the goal is a dependency-free health check, not Criterion.
+//! standard deviation / max wall time per iteration. Deliberately no
+//! statistics beyond that — the goal is a dependency-free health check,
+//! not Criterion.
 
 use std::time::{Duration, Instant};
 
@@ -74,10 +75,16 @@ impl Runner {
         let min = times.iter().min().copied().unwrap_or_default();
         let max = times.iter().max().copied().unwrap_or_default();
         let mean = times.iter().sum::<Duration>() / times.len() as u32;
+        let var = times
+            .iter()
+            .map(|t| (t.as_secs_f64() - mean.as_secs_f64()).powi(2))
+            .sum::<f64>()
+            / times.len() as f64;
         println!(
-            "{name:<44} min {:>12} mean {:>12} max {:>12} ({} iters)",
+            "{name:<44} min {:>12} mean {:>12} sd {:>12} max {:>12} ({} iters)",
             fmt(min),
             fmt(mean),
+            fmt(Duration::from_secs_f64(var.sqrt())),
             fmt(max),
             times.len()
         );

@@ -8,6 +8,7 @@ use gem5sim::config::{CpuModel, SimMode};
 use gem5sim_workloads::{Scale, Workload};
 
 pub mod harness;
+pub mod out;
 pub mod retry;
 pub mod soak;
 

@@ -302,8 +302,9 @@ pub(crate) struct CachedGuest {
     pub events: Vec<TraceEvent>,
 }
 
-/// Cap on cached events per guest simulation (~16 bytes/event → ≤128 MiB
-/// per entry). Streams past the cap are profiled live but not cached.
+/// Cap on cached events per guest simulation. A
+/// [`TraceEvent`] packs into 16 bytes, so an entry holds at most 128 MiB
+/// of events. Streams past the cap are profiled live but not cached.
 pub(crate) const TRACE_CACHE_CAP: usize = 8_000_000;
 
 /// Running totals for the trace cache, readable by tests and tools.

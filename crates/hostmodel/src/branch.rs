@@ -3,14 +3,15 @@
 //! "unknown branches" of the paper's Fig. 4 — the front end cannot even
 //! tell where to fetch next until the branch unit decodes the target.
 
+use std::hint::select_unpredictable;
+
 /// Host branch predictor state.
 #[derive(Debug, Clone)]
 pub struct HostBranchPredictor {
     table: Vec<u8>, // 2-bit counters
     mask: u64,
     history: u64,
-    btb_tags: Vec<u64>,
-    btb_targets: Vec<u64>,
+    btb: Vec<(u64, u64)>, // (site, target); site u64::MAX = empty
     btb_mask: u64,
     /// Conditional branches predicted.
     pub cond_lookups: u64,
@@ -35,8 +36,7 @@ impl HostBranchPredictor {
             table: vec![2; 1 << bp_bits],
             mask: (1u64 << bp_bits) - 1,
             history: 0,
-            btb_tags: vec![u64::MAX; btb_entries as usize],
-            btb_targets: vec![0; btb_entries as usize],
+            btb: vec![(u64::MAX, 0); btb_entries as usize],
             btb_mask: btb_entries - 1,
             cond_lookups: 0,
             mispredicts: 0,
@@ -53,28 +53,36 @@ impl HostBranchPredictor {
     /// unknown-branch resteer (returned separately).
     #[inline]
     pub fn cond_branch(&mut self, site: u64, outcome: bool, loop_covered: bool) -> (bool, bool) {
+        self.cond_branch_hashed(site, hosttrace::mix64(site), outcome, loop_covered)
+    }
+
+    /// [`cond_branch`](Self::cond_branch) for a caller that already
+    /// holds `site_hash = mix64(site)`.
+    #[inline]
+    pub(crate) fn cond_branch_hashed(
+        &mut self,
+        site: u64,
+        site_hash: u64,
+        outcome: bool,
+        loop_covered: bool,
+    ) -> (bool, bool) {
         self.cond_lookups += 1;
-        let idx = ((hosttrace::mix64(site) ^ self.history) & self.mask) as usize;
-        let ctr = &mut self.table[idx];
-        let predicted = *ctr >= 2;
-        if outcome {
-            *ctr = (*ctr + 1).min(3);
-        } else {
-            *ctr = ctr.saturating_sub(1);
-        }
+        let idx = ((site_hash ^ self.history) & self.mask) as usize;
+        let ctr = self.table[idx];
+        let predicted = ctr >= 2;
+        // Outcomes are data-dependent: update with selects, not branches.
+        self.table[idx] = select_unpredictable(outcome, (ctr + 1).min(3), ctr.saturating_sub(1));
         self.history = ((self.history << 1) | outcome as u64) & self.mask;
         let mispredicted = predicted != outcome && !loop_covered;
-        if mispredicted {
-            self.mispredicts += 1;
-        }
-        let mut unknown = false;
-        if outcome && !mispredicted {
-            // Correct-direction taken branch still needs a BTB target.
-            unknown = !self.btb_check(site, site ^ 0x5555);
-            if unknown {
-                self.unknown_branches += 1;
-            }
-        }
+        self.mispredicts += mispredicted as u64;
+        // A correct-direction taken branch still needs a BTB target. The
+        // entry is read either way and rewritten unchanged otherwise.
+        let consult = outcome && !mispredicted;
+        let entry = &mut self.btb[(site_hash & self.btb_mask) as usize];
+        let target = (site, site ^ 0x5555);
+        let unknown = consult && *entry != target;
+        *entry = select_unpredictable(consult, target, *entry);
+        self.unknown_branches += unknown as u64;
         (mispredicted, unknown)
     }
 
@@ -84,7 +92,7 @@ impl HostBranchPredictor {
     #[inline]
     pub fn indirect_branch(&mut self, site: u64, target: u64) -> bool {
         self.indirect_lookups += 1;
-        let unknown = !self.btb_check(site, target);
+        let unknown = !self.btb_check(site, hosttrace::mix64(site), target);
         if unknown {
             self.unknown_branches += 1;
         }
@@ -94,11 +102,10 @@ impl HostBranchPredictor {
     /// Checks and updates the BTB; returns `true` if `site → target`
     /// was already present.
     #[inline]
-    fn btb_check(&mut self, site: u64, target: u64) -> bool {
-        let idx = (hosttrace::mix64(site) & self.btb_mask) as usize;
-        let hit = self.btb_tags[idx] == site && self.btb_targets[idx] == target;
-        self.btb_tags[idx] = site;
-        self.btb_targets[idx] = target;
+    fn btb_check(&mut self, site: u64, site_hash: u64, target: u64) -> bool {
+        let entry = &mut self.btb[(site_hash & self.btb_mask) as usize];
+        let hit = *entry == (site, target);
+        *entry = (site, target);
         hit
     }
 

@@ -47,25 +47,21 @@ impl Dsb {
         self.cache.is_some()
     }
 
-    /// Records the decode of `uops` µops spanning the window at
-    /// `window_addr`; returns `true` if they came from the DSB.
+    /// Records the decode of `n` consecutive windows from `first`, each
+    /// worth `uops` µops; returns how many came from the DSB.
     #[inline]
-    pub fn fetch_window(&mut self, window_addr: u64, uops: u64) -> bool {
-        match &mut self.cache {
-            Some(c) => {
-                let hit = c.access(window_addr);
-                if hit {
-                    self.dsb_uops += uops;
-                } else {
-                    self.mite_uops += uops;
-                }
-                hit
-            }
-            None => {
-                self.mite_uops += uops;
-                false
-            }
+    pub fn fetch_windows(&mut self, first: u64, n: u64, uops: u64) -> u64 {
+        let Some(c) = &mut self.cache else {
+            self.mite_uops += uops * n;
+            return 0;
+        };
+        let mut hits = 0;
+        for i in 0..n {
+            hits += c.access(first + i * WINDOW) as u64;
         }
+        self.dsb_uops += uops * hits;
+        self.mite_uops += uops * (n - hits);
+        hits
     }
 
     /// DSB coverage: fraction of µops delivered from the µop cache —
@@ -89,7 +85,7 @@ mod tests {
         let mut d = Dsb::new(1536);
         for _ in 0..1000 {
             for w in 0..4u64 {
-                d.fetch_window(0x400000 + w * WINDOW, 6);
+                d.fetch_windows(0x400000 + w * WINDOW, 1, 6);
             }
         }
         assert!(d.coverage() > 0.99, "{}", d.coverage());
@@ -101,7 +97,7 @@ mod tests {
         // Touch 100k distinct windows repeatedly: far beyond capacity.
         for round in 0..3 {
             for w in 0..100_000u64 {
-                d.fetch_window(w * WINDOW, 6);
+                d.fetch_windows(w * WINDOW, 1, 6);
             }
             let _ = round;
         }
@@ -109,11 +105,21 @@ mod tests {
     }
 
     #[test]
+    fn window_runs_count_hits_and_split_uops() {
+        let mut d = Dsb::new(1536);
+        assert_eq!(d.fetch_windows(0x1000, 3, 4), 0, "cold");
+        assert_eq!(d.fetch_windows(0x1000 + WINDOW, 3, 4), 2);
+        assert_eq!((d.dsb_uops, d.mite_uops), (8, 16));
+    }
+
+    #[test]
     fn absent_dsb_streams_from_mite() {
         let mut d = Dsb::new(0);
         assert!(!d.present());
-        assert!(!d.fetch_window(0, 6));
+        assert_eq!(d.fetch_windows(0, 1, 6), 0);
         assert_eq!(d.coverage(), 0.0);
         assert_eq!(d.mite_uops, 6);
+        assert_eq!(d.fetch_windows(0, 3, 5), 0);
+        assert_eq!(d.mite_uops, 21);
     }
 }

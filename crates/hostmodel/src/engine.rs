@@ -1,13 +1,22 @@
 //! The host execution engine: consumes the host instruction stream and
 //! performs Top-Down cycle accounting.
+//!
+//! Everything that depends only on the configuration — index shifts,
+//! the text segment's huge-page range, per-level and per-outcome stall
+//! costs — is worked out once in [`HostEngine::new`]; the per-record
+//! path indexes, looks up costs and adds. Results must stay bit-identical
+//! to `tests/host_engine_ref`: every `f64` is added in the same order with
+//! the same operands, and an unconditional addition whose guard is false
+//! adds `+0.0` to a sum that is never `-0.0` (see DESIGN.md).
 
 use crate::branch::HostBranchPredictor;
 use crate::cache::HostCache;
 use crate::config::HostConfig;
 use crate::dsb::{Dsb, WINDOW};
 use crate::stats::HostRunStats;
-use crate::tlb::{HostTlb, TlbResult};
-use crate::topdown::TopDown;
+use crate::tlb::HostTlb;
+use crate::topdown::{BeMem, TopDown};
+use hosttrace::layout::{PageBacking, HUGE_PAGE};
 use hosttrace::record::{DataRef, ExecRecord, TraceSink};
 use hosttrace::registry::Registry;
 use hosttrace::{mix2, mix64};
@@ -22,12 +31,111 @@ const STACK_BASE: u64 = 0x7FFF_F000_0000;
 /// state regions reported via [`DataRef`]s).
 const HEAP_BASE: u64 = 0x20_0000_0000;
 
+/// Miss-fill levels: index of the Top-Down back-end bucket that pays.
+const L2: usize = 0;
+const LLC: usize = 1;
+const DRAM: usize = 2;
+
+/// Per-configuration constants, derived once from the [`HostConfig`].
+#[derive(Debug)]
+struct Derived {
+    line_shift: u32,
+    page_shift: u32,
+    /// Text addresses in `huge_lo..huge_hi` translate through 2 MB pages
+    /// (empty for base-page backing).
+    huge_lo: u64,
+    huge_hi: u64,
+    width: f64,
+    dsb_width: f64,
+    /// Fill latency per level, as `f64`.
+    lat: [f64; 3],
+    /// Local-load stall per fill level: `lat / mlp`.
+    load_cost: [f64; 3],
+    /// Local-store stall per fill level: `lat * 0.15 / mlp`.
+    store_cost: [f64; 3],
+    /// iTLB stall per [`TlbResult`](crate::tlb::TlbResult).
+    itlb_cost: [f64; 3],
+    /// dTLB stall of a function-local heap load, per `TlbResult`.
+    local_dtlb_cost: [f64; 3],
+    /// dTLB stall of a data reference, by `[prefetched][TlbResult]`.
+    data_dtlb_cost: [[f64; 3]; 2],
+    /// Data-reference fill stall, by `[write][prefetched][level]`.
+    data_cost: [[[f64; 3]; 2]; 2],
+    mispredict_bad_spec: f64,
+    mispredict_resteer: f64,
+    cond_unknown: f64,
+    resteer: f64,
+    penalty: f64,
+}
+
+impl Derived {
+    fn new(cfg: &HostConfig, reg: &Registry) -> Self {
+        let layout = reg.layout();
+        let text_end = layout.base + layout.size;
+        let huge_hi = match layout.backing {
+            PageBacking::Base => layout.base,
+            PageBacking::Ehp => text_end,
+            PageBacking::Thp { coverage_pct } => {
+                text_end.min(layout.base + layout.size * coverage_pct as u64 / 100)
+            }
+        };
+        let lat = [cfg.l2_lat as f64, cfg.llc_lat as f64, cfg.dram_lat as f64];
+        let (stlb, walk) = (cfg.stlb_lat as f64, cfg.walk_lat as f64);
+        let stream_factor = |prefetched: usize| {
+            if prefetched == 1 {
+                cfg.prefetch_factor
+            } else {
+                1.0
+            }
+        };
+        let penalty = cfg.mispredict_penalty as f64;
+        let resteer = cfg.resteer_cycles as f64;
+        Derived {
+            line_shift: cfg.line.trailing_zeros(),
+            page_shift: cfg.page.trailing_zeros(),
+            huge_lo: layout.base,
+            huge_hi,
+            width: cfg.width as f64,
+            dsb_width: cfg.dsb_width.max(1.0),
+            lat,
+            load_cost: lat.map(|l| l / cfg.mlp),
+            store_cost: lat.map(|l| l * 0.15 / cfg.mlp),
+            itlb_cost: [0.0, stlb, walk],
+            local_dtlb_cost: [0.0, stlb / cfg.mlp, walk / cfg.mlp],
+            data_dtlb_cost: [0, 1].map(|pf| {
+                let walk_factor = stream_factor(pf) / cfg.mlp;
+                [0.0, stlb * walk_factor, walk * walk_factor]
+            }),
+            data_cost: [1.0, 0.15].map(|factor| {
+                [0, 1].map(|pf| lat.map(|l| l * factor * stream_factor(pf) / cfg.mlp))
+            }),
+            mispredict_bad_spec: penalty * 0.55,
+            mispredict_resteer: penalty * 0.45,
+            cond_unknown: resteer * 0.6,
+            resteer,
+            penalty,
+        }
+    }
+
+    /// The iTLB page id of text address `addr` (the registry layout's
+    /// `page_id`, with the huge-page range precomputed).
+    #[inline]
+    fn page_id(&self, addr: u64) -> u64 {
+        if addr >= self.huge_lo && addr < self.huge_hi {
+            (addr / HUGE_PAGE) | (1 << 62)
+        } else {
+            addr >> self.page_shift
+        }
+    }
+}
+
 /// The engine. Implements [`TraceSink`]; feed it a stream, then call
 /// [`finish`](HostEngine::finish).
 #[derive(Debug)]
 pub struct HostEngine {
     cfg: HostConfig,
     reg: Arc<Registry>,
+    k: Derived,
     l1i: HostCache,
     l1d: HostCache,
     l2: HostCache,
@@ -37,6 +145,8 @@ pub struct HostEngine {
     bp: HostBranchPredictor,
     dsb: Dsb,
     td: TopDown,
+    /// Back-end memory stalls by fill level (`td.be_mem` at finish).
+    be_mem: [f64; 3],
     uops: u64,
     dram_bytes: u64,
     records: u64,
@@ -57,10 +167,12 @@ impl HostEngine {
             bp: HostBranchPredictor::new(cfg.bp_bits, cfg.btb_entries),
             dsb: Dsb::new(cfg.dsb_uops),
             td: TopDown::default(),
+            be_mem: [0.0; 3],
             uops: 0,
             dram_bytes: 0,
             records: 0,
             last_data_line: u64::MAX - 8,
+            k: Derived::new(&cfg, &reg),
             cfg,
             reg,
         }
@@ -71,68 +183,35 @@ impl HostEngine {
         &self.cfg
     }
 
-    /// Fills an instruction-side line through L2 → LLC → DRAM; returns
-    /// the raw penalty in cycles.
+    /// Fills a line missing in L1 through L2 → LLC → DRAM; returns the
+    /// level that supplied it.
     #[inline]
-    fn fill_iside(&mut self, line: u64) -> f64 {
+    fn fill(&mut self, line: u64) -> usize {
         if self.l2.access(line) {
-            self.cfg.l2_lat as f64
+            L2
         } else if self.llc.access(line) {
-            self.cfg.llc_lat as f64
+            LLC
         } else {
             self.dram_bytes += self.cfg.line;
-            self.cfg.dram_lat as f64
-        }
-    }
-
-    /// Fills a data-side line; returns `(penalty, level)` where level
-    /// indexes the Top-Down back-end bucket (0 = L2, 1 = LLC, 2 = DRAM).
-    #[inline]
-    fn fill_dside(&mut self, line: u64) -> (f64, usize) {
-        if self.l2.access(line) {
-            (self.cfg.l2_lat as f64, 0)
-        } else if self.llc.access(line) {
-            (self.cfg.llc_lat as f64, 1)
-        } else {
-            self.dram_bytes += self.cfg.line;
-            (self.cfg.dram_lat as f64, 2)
-        }
-    }
-
-    #[inline]
-    fn be_mem_add(&mut self, level: usize, cycles: f64) {
-        match level {
-            0 => self.td.be_mem.l2 += cycles,
-            1 => self.td.be_mem.llc += cycles,
-            _ => self.td.be_mem.dram += cycles,
-        }
-    }
-
-    /// Generates the outcome of dynamic conditional branch number `k` at a
-    /// site with the given taken bias, returning `(outcome, period)`:
-    /// well-biased sites behave like loop back-edges (periodic exits,
-    /// `period = Some(..)`), low-bias sites are data-dependent
-    /// (`period = None`).
-    #[inline]
-    fn branch_outcome(site: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
-        if taken_rate >= 86 {
-            let period = 64 + (taken_rate as u64 - 85) * 40 + (mix64(site) % 64);
-            ((k + site) % period != 0, Some(period))
-        } else {
-            ((mix2(site, k) % 100) < taken_rate as u64, None)
+            DRAM
         }
     }
 
     /// Consumes the engine and produces final statistics.
     pub fn finish(self) -> HostRunStats {
         let insts = self.uops as f64 / self.cfg.uops_per_inst;
+        let [l2, llc, dram] = self.be_mem;
+        let topdown = TopDown {
+            be_mem: BeMem { l2, llc, dram },
+            ..self.td
+        };
         HostRunStats {
             name: self.cfg.name.clone(),
-            cycles: self.td.total_cycles(),
+            cycles: topdown.total_cycles(),
             uops: self.uops,
             instructions: insts,
             freq_ghz: self.cfg.freq_ghz,
-            topdown: self.td,
+            topdown,
             l1i_accesses: self.l1i.accesses,
             l1i_miss_rate: self.l1i.miss_rate(),
             l1d_accesses: self.l1d.accesses,
@@ -158,8 +237,7 @@ impl TraceSink for HostEngine {
         let uops = r.uops as u64;
         let uopsf = uops as f64;
         self.uops += uops;
-        let width = self.cfg.width as f64;
-        let base = uopsf / width;
+        let base = uopsf / self.k.width;
         self.td.retiring += base;
 
         // --- Instruction fetch: line touches over the executed span.
@@ -168,19 +246,18 @@ impl TraceSink for HostEngine {
         let bytes = ((uopsf * self.cfg.bytes_per_uop) as u64).max(16);
         let span = bytes.min(size + 16); // longer executions loop in place
         let off = ((r.variant as u64) * 96) % (size.saturating_sub(span) + 1);
-        let base_addr = addr;
         // Branch sites are static program points: the executed path picks
         // among a per-function set of 256 B regions, so sites recur and
         // predictors can learn them.
-        let site_base = base_addr + (off & !255);
-        let addr = addr + off;
-        let end = addr + span;
+        let site_base = addr + (off & !255);
+        let start = addr + off;
+        let end = start + span;
         let line_mask = !(self.cfg.line - 1);
-        let mut line = addr & line_mask;
+        let mut line = start & line_mask;
         let mut fetch_pen = 0.0;
         while line < end {
             if !self.l1i.access(line) {
-                fetch_pen += self.fill_iside(line);
+                fetch_pen += self.k.lat[self.fill(line)];
             }
             line += self.cfg.line;
         }
@@ -188,18 +265,14 @@ impl TraceSink for HostEngine {
 
         // --- iTLB over the touched pages (huge-page aware). ---
         let page = self.cfg.page;
-        let mut paddr = addr & !(page - 1);
+        let mut paddr = start & !(page - 1);
         let mut itlb_pen = 0.0;
         let mut last_pid = u64::MAX;
         while paddr < end {
-            let pid = self.reg.layout().page_id(paddr, page);
+            let pid = self.k.page_id(paddr);
             if pid != last_pid {
                 last_pid = pid;
-                match self.itlb.access(pid) {
-                    TlbResult::L1Hit => {}
-                    TlbResult::StlbHit => itlb_pen += self.cfg.stlb_lat as f64,
-                    TlbResult::Walk => itlb_pen += self.cfg.walk_lat as f64,
-                }
+                itlb_pen += self.k.itlb_cost[self.itlb.access(pid) as usize];
             }
             paddr += page;
         }
@@ -210,57 +283,62 @@ impl TraceSink for HostEngine {
         // --- Decode: DSB vs MITE. The record's µops are apportioned to
         //     the two supply paths by the fraction of its fetch windows
         //     resident in the µop cache. ---
-        let wstart = addr & !(WINDOW - 1);
-        let n_windows = (end - wstart).div_ceil(WINDOW).max(1);
-        let uops_per_window = (uops / n_windows).max(1);
-        let mut hits = 0u64;
-        let mut w = wstart;
-        while w < end {
-            if self.dsb.fetch_window(w, uops_per_window) {
-                hits += 1;
-            }
-            w += WINDOW;
-        }
+        let wstart = start & !(WINDOW - 1);
+        let n_windows = (end - wstart).div_ceil(WINDOW);
+        // Both fit in u32 (µops are u16), where division is cheaper.
+        let uops_per_window = (r.uops as u32 / n_windows as u32).max(1) as u64;
+        let hits = self.dsb.fetch_windows(wstart, n_windows, uops_per_window);
         let dsb_frac = if self.dsb.present() {
             hits as f64 / n_windows as f64
         } else {
             0.0
         };
         let mite_uops_f = uopsf * (1.0 - dsb_frac);
-        let decode_cycles =
-            mite_uops_f / self.cfg.mite_width + (uopsf - mite_uops_f) / self.cfg.dsb_width.max(1.0);
+        let mite_cycles = mite_uops_f / self.cfg.mite_width;
+        let decode_cycles = mite_cycles + (uopsf - mite_uops_f) / self.k.dsb_width;
+        // Attribute any shortfall to the slow component first: the legacy
+        // decoders. The DSB only appears when it is itself the limiter
+        // (Intel's accounting does the same, which is why the paper sees
+        // 92-97% MITE). Without a shortfall both additions are +0.0.
         let deficit = (decode_cycles - base).max(0.0);
-        if deficit > 0.0 {
-            // Attribute the shortfall to the slow component first: the
-            // legacy decoders. The DSB only appears when it is itself the
-            // limiter (Intel's accounting does the same, which is why the
-            // paper sees 92-97% MITE).
-            let mite_excess = (mite_uops_f / self.cfg.mite_width - mite_uops_f / width).max(0.0);
-            let to_mite = deficit.min(mite_excess);
-            self.td.fe_bandwidth.mite += to_mite;
-            self.td.fe_bandwidth.dsb += deficit - to_mite;
-        }
+        let mite_excess = (mite_cycles - mite_uops_f / self.k.width).max(0.0);
+        let to_mite = deficit.min(mite_excess);
+        self.td.fe_bandwidth.mite += to_mite;
+        self.td.fe_bandwidth.dsb += deficit - to_mite;
 
-        // --- Conditional branches. ---
-        let penalty = self.cfg.mispredict_penalty as f64;
-        let resteer = self.cfg.resteer_cycles as f64;
+        // --- Conditional branches. Site j sits at `16 + (24 j) mod m`,
+        //     an offset that advances by 24 and wraps. Well-biased
+        //     sites behave like loop back-edges (periodic exits), low-bias
+        //     sites are data-dependent. Loop-termination predictors
+        //     (TAGE-style long history) capture periodic exits up to the
+        //     machine's reach. ---
         let n_cond = r.cond_branches as u64;
-        for j in 0..n_cond {
-            let site = site_base + 16 + (j * 24) % size.max(24);
-            let k = r.variant as u64 * n_cond + j;
-            let (outcome, period) = Self::branch_outcome(site, taken_rate, k);
-            // Loop-termination predictors (TAGE-style long history)
-            // capture periodic exits up to the machine's reach.
-            let loop_covered = period.is_some_and(|p| p <= self.cfg.loop_reach);
-            let (mis, unknown) = self.bp.cond_branch(site, outcome, loop_covered);
-            if mis {
-                // Wrong-path work is bad speculation; the fetch redirect
-                // is a front-end resteer.
-                self.td.bad_speculation += penalty * 0.55;
-                self.td.fe_latency.mispredict_resteers += penalty * 0.45;
-            } else if unknown {
-                self.td.fe_latency.unknown_branches += resteer * 0.6;
+        let m = size.max(24);
+        let mut site_off = 0;
+        let k0 = r.variant as u64 * n_cond;
+        for k in k0..k0 + n_cond {
+            let site = site_base + 16 + site_off;
+            site_off += 24;
+            if site_off >= m {
+                site_off -= m;
             }
+            let h = mix64(site);
+            let (outcome, loop_covered) = if taken_rate >= 86 {
+                let period = 64 + (taken_rate as u64 - 85) * 40 + (h % 64);
+                (
+                    !(k + site).is_multiple_of(period),
+                    period <= self.cfg.loop_reach,
+                )
+            } else {
+                ((mix2(site, k) % 100) < taken_rate as u64, false)
+            };
+            let (mis, unknown) = self.bp.cond_branch_hashed(site, h, outcome, loop_covered);
+            // Wrong-path work is bad speculation; the fetch redirect is a
+            // front-end resteer. A misprediction is never also unknown.
+            let mis_cost = |c: f64| if mis { c } else { 0.0 };
+            self.td.bad_speculation += mis_cost(self.k.mispredict_bad_spec);
+            self.td.fe_latency.mispredict_resteers += mis_cost(self.k.mispredict_resteer);
+            self.td.fe_latency.unknown_branches += if unknown { self.k.cond_unknown } else { 0.0 };
         }
 
         // --- Indirect branches (virtual dispatch). ---
@@ -269,52 +347,49 @@ impl TraceSink for HostEngine {
             // Site polymorphism: most virtual call sites are monomorphic
             // in practice; a minority see several receiver types.
             let h = mix64(site ^ 0xD15EA5E);
-            let poly = if h % 8 == 0 { 2 + mix64(h) % 4 } else { 1 };
-            let target = mix2(site, r.variant as u64 % poly);
-            if self.bp.indirect_branch(site, target) {
-                self.td.fe_latency.unknown_branches += resteer;
-            }
+            let receiver = if h.is_multiple_of(8) {
+                r.variant as u64 % (2 + mix64(h) % 4)
+            } else {
+                0
+            };
+            let unknown = self.bp.indirect_branch(site, mix2(site, receiver));
+            self.td.fe_latency.unknown_branches += if unknown { self.k.resteer } else { 0.0 };
         }
 
         // --- Machine clears (memory-order nukes etc.) are rare and tied
         //     to store traffic. ---
+        let penalty = self.k.penalty;
         self.td.fe_latency.clear_resteers += r.stores as f64 * 0.004 * penalty * 0.3;
         self.td.bad_speculation += r.stores as f64 * 0.004 * penalty * 0.7;
 
         // --- Function-local data: mostly stack (hot, tiny), with every
-        //     third load reaching the heap — SimObject fields scattered by
-        //     the allocator over ~1.5 MB of pages. The heap lines are hot
-        //     (revisited each invocation) but the *pages* are many: this
-        //     is what pressures the dTLB without pressuring DRAM, as the
-        //     paper observes. ---
+        //     fourth load reaching the heap — SimObject fields scattered
+        //     by the allocator over ~1.5 MB of pages. The heap lines are
+        //     hot (revisited each invocation) but the *pages* are many:
+        //     this is what pressures the dTLB without pressuring DRAM, as
+        //     the paper observes. ---
         let fid = r.func.0 as u64;
+        let stack = fid.wrapping_mul(968);
         for j in 0..r.loads as u64 {
             let a = if j % 4 == 3 {
-                HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64
+                let a = HEAP_BASE + (mix2(fid, j) % (1_500_000 / 64)) * 64;
+                let tlb = self.dtlb.access(a >> self.k.page_shift);
+                self.be_mem[L2] += self.k.local_dtlb_cost[tlb as usize];
+                a
             } else {
-                STACK_BASE + (fid.wrapping_mul(968) + j * 64) % 10240
+                STACK_BASE + (stack + j * 64) % 10240
             };
-            if j % 4 == 3 {
-                let pid = a / self.cfg.page;
-                match self.dtlb.access(pid) {
-                    TlbResult::L1Hit => {}
-                    TlbResult::StlbHit => {
-                        self.td.be_mem.l2 += self.cfg.stlb_lat as f64 / self.cfg.mlp
-                    }
-                    TlbResult::Walk => self.td.be_mem.l2 += self.cfg.walk_lat as f64 / self.cfg.mlp,
-                }
-            }
             if !self.l1d.access(a) {
-                let (pen, lvl) = self.fill_dside(a & line_mask);
-                self.be_mem_add(lvl, pen / self.cfg.mlp);
+                let lvl = self.fill(a & line_mask);
+                self.be_mem[lvl] += self.k.load_cost[lvl];
             }
         }
         for j in 0..r.stores as u64 {
-            let a = STACK_BASE + (fid.wrapping_mul(968) + 5120 + j * 64) % 10240;
+            let a = STACK_BASE + (stack + 5120 + j * 64) % 10240;
             if !self.l1d.access(a) {
-                let (pen, lvl) = self.fill_dside(a & line_mask);
                 // Stores drain through the store buffer: mostly hidden.
-                self.be_mem_add(lvl, pen * 0.15 / self.cfg.mlp);
+                let lvl = self.fill(a & line_mask);
+                self.be_mem[lvl] += self.k.store_cost[lvl];
             }
         }
 
@@ -327,33 +402,32 @@ impl TraceSink for HostEngine {
         // forward-sequential streams (and page walks amortize over them):
         // the paper's Sec. IV-A notes gem5's "predictable data cache
         // accesses ... efficiently captured by the hardware prefetchers".
-        let this_line = d.addr / self.cfg.line;
+        let line_shift = self.k.line_shift;
+        let this_line = d.addr >> line_shift;
         let delta = this_line.wrapping_sub(self.last_data_line);
-        let prefetched = delta <= 4; // covers same-line and small forward strides
+        let prefetched = (delta <= 4) as usize; // same line and small forward strides
         self.last_data_line = this_line;
-        let stream_factor = if prefetched {
-            self.cfg.prefetch_factor
-        } else {
-            1.0
-        };
 
-        let pid = d.addr / self.cfg.page;
-        let walk_factor = stream_factor / self.cfg.mlp;
-        match self.dtlb.access(pid) {
-            TlbResult::L1Hit => {}
-            TlbResult::StlbHit => self.td.be_mem.l2 += self.cfg.stlb_lat as f64 * walk_factor,
-            TlbResult::Walk => self.td.be_mem.l2 += self.cfg.walk_lat as f64 * walk_factor,
-        }
-        let line_mask = !(self.cfg.line - 1);
-        let mut line = d.addr & line_mask;
-        let end = d.addr + d.bytes as u64;
-        while line < end {
+        let tlb = self.dtlb.access(d.addr >> self.k.page_shift);
+        self.be_mem[L2] += self.k.data_dtlb_cost[prefetched][tlb as usize];
+
+        // Lines from the one holding `addr` through the one holding the
+        // last byte (a reference running off the top of the address
+        // space stops there).
+        let first = this_line << line_shift;
+        let end = d.addr.saturating_add(d.bytes as u64);
+        let n_lines = if end > first {
+            ((end - 1 - first) >> line_shift) + 1
+        } else {
+            0
+        };
+        let cost = self.k.data_cost[d.write as usize][prefetched];
+        for i in 0..n_lines {
+            let line = first + (i << line_shift);
             if !self.l1d.access(line) {
-                let (pen, lvl) = self.fill_dside(line);
-                let factor = if d.write { 0.15 } else { 1.0 };
-                self.be_mem_add(lvl, pen * factor * stream_factor / self.cfg.mlp);
+                let lvl = self.fill(line);
+                self.be_mem[lvl] += cost[lvl];
             }
-            line += self.cfg.line;
         }
     }
 }
@@ -561,6 +635,23 @@ mod tests {
             "dram {}",
             s.dram_bytes
         );
+    }
+
+    #[test]
+    fn data_ref_at_the_top_of_the_address_space_stops_at_the_last_line() {
+        let mut e = HostEngine::new(cfg(), registry());
+        e.data(DataRef {
+            addr: u64::MAX - 10,
+            bytes: 100,
+            write: false,
+        });
+        e.data(DataRef {
+            addr: u64::MAX - 100,
+            bytes: u32::MAX,
+            write: true,
+        });
+        let s = e.finish();
+        assert_eq!(s.l1d_accesses, 3, "the last line, then the last two");
     }
 
     #[test]

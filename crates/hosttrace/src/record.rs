@@ -89,15 +89,73 @@ impl<S: TraceSink> TraceSink for FanoutSink<S> {
     }
 }
 
-/// One event of the post-adapter host stream, in order. The unit of
-/// guest-trace memoization: a recorded `Vec<TraceEvent>` replays into any
-/// number of host engines without re-running the guest simulation.
+/// One event of the post-adapter host stream, unpacked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
+pub enum Event {
     /// A function invocation.
     Exec(ExecRecord),
     /// A simulator-state data touch.
     Data(DataRef),
+}
+
+/// One event of the post-adapter host stream, in order. The unit of
+/// guest-trace memoization: a recorded `Vec<TraceEvent>` replays into any
+/// number of host engines without re-running the guest simulation.
+///
+/// Packed losslessly into two words (16 bytes), tagged by bit 63 of the
+/// second word:
+///
+/// | kind | word 0                  | word 1                                                   |
+/// |------|-------------------------|----------------------------------------------------------|
+/// | exec | `func` · `variant << 32` | `uops` · `cond << 16` · `indirect << 24` · `loads << 32` · `stores << 40` |
+/// | data | `addr`                  | `bytes` · `write << 32` · `1 << 63`                      |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent([u64; 2]);
+
+const DATA_TAG: u64 = 1 << 63;
+
+impl TraceEvent {
+    /// Packs a function invocation.
+    #[inline]
+    pub fn exec(r: ExecRecord) -> Self {
+        TraceEvent([
+            r.func.0 as u64 | (r.variant as u64) << 32,
+            r.uops as u64
+                | (r.cond_branches as u64) << 16
+                | (r.indirect_branches as u64) << 24
+                | (r.loads as u64) << 32
+                | (r.stores as u64) << 40,
+        ])
+    }
+
+    /// Packs a data touch.
+    #[inline]
+    pub fn data(d: DataRef) -> Self {
+        TraceEvent([d.addr, d.bytes as u64 | (d.write as u64) << 32 | DATA_TAG])
+    }
+
+    /// Unpacks the event.
+    #[inline]
+    pub fn unpack(self) -> Event {
+        let [w0, w1] = self.0;
+        if w1 & DATA_TAG != 0 {
+            Event::Data(DataRef {
+                addr: w0,
+                bytes: w1 as u32,
+                write: (w1 >> 32) & 1 != 0,
+            })
+        } else {
+            Event::Exec(ExecRecord {
+                func: FunctionId(w0 as u32),
+                uops: w1 as u16,
+                cond_branches: (w1 >> 16) as u8,
+                indirect_branches: (w1 >> 24) as u8,
+                loads: (w1 >> 32) as u8,
+                stores: (w1 >> 40) as u8,
+                variant: (w0 >> 32) as u32,
+            })
+        }
+    }
 }
 
 /// Records the stream into memory, up to a cap.
@@ -152,10 +210,10 @@ impl RecordingSink {
 
 impl TraceSink for RecordingSink {
     fn exec(&mut self, rec: ExecRecord) {
-        self.push(TraceEvent::Exec(rec));
+        self.push(TraceEvent::exec(rec));
     }
     fn data(&mut self, dref: DataRef) {
-        self.push(TraceEvent::Data(dref));
+        self.push(TraceEvent::data(dref));
     }
 }
 
@@ -191,9 +249,9 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
 /// Replays a recorded stream into a sink, exactly as it was emitted.
 pub fn replay<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
     for &ev in events {
-        match ev {
-            TraceEvent::Exec(rec) => sink.exec(rec),
-            TraceEvent::Data(dref) => sink.data(dref),
+        match ev.unpack() {
+            Event::Exec(rec) => sink.exec(rec),
+            Event::Data(dref) => sink.data(dref),
         }
     }
 }
@@ -289,6 +347,76 @@ mod tests {
         });
         assert_eq!((t.a.execs, t.a.datas), (1, 1));
         assert_eq!(t.b.into_events().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn packed_event_is_two_words() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+    }
+
+    #[test]
+    fn packed_event_round_trips_every_field_at_its_limits() {
+        let execs = [
+            ExecRecord {
+                func: FunctionId(u32::MAX),
+                uops: u16::MAX,
+                cond_branches: u8::MAX,
+                indirect_branches: u8::MAX,
+                loads: u8::MAX,
+                stores: u8::MAX,
+                variant: u32::MAX,
+            },
+            ExecRecord {
+                func: FunctionId(0),
+                uops: 0,
+                cond_branches: 0,
+                indirect_branches: 0,
+                loads: 0,
+                stores: 0,
+                variant: 0,
+            },
+            // One field at its limit at a time: no field bleeds into a
+            // neighbour or into the tag.
+            ExecRecord {
+                uops: u16::MAX,
+                ..rec(0)
+            },
+            ExecRecord {
+                cond_branches: u8::MAX,
+                indirect_branches: 0,
+                loads: u8::MAX,
+                stores: 0,
+                ..rec(1)
+            },
+            ExecRecord {
+                cond_branches: 0,
+                indirect_branches: u8::MAX,
+                loads: 0,
+                stores: u8::MAX,
+                ..rec(1)
+            },
+            ExecRecord {
+                func: FunctionId(u32::MAX),
+                variant: 0,
+                ..rec(1)
+            },
+            ExecRecord {
+                func: FunctionId(0),
+                variant: u32::MAX,
+                ..rec(1)
+            },
+        ];
+        for r in execs {
+            assert_eq!(TraceEvent::exec(r).unpack(), Event::Exec(r), "{r:?}");
+        }
+        for addr in [0, 1, u64::MAX, u64::MAX >> 1, 1 << 63] {
+            for bytes in [0, 1, u32::MAX] {
+                for write in [false, true] {
+                    let d = DataRef { addr, bytes, write };
+                    assert_eq!(TraceEvent::data(d).unpack(), Event::Data(d), "{d:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn round_trips_itself() {
         let v = Json::obj(vec![
-            ("pi", Json::Num(3.141592653589793)),
+            ("pi", Json::Num(std::f64::consts::PI)),
             ("big", Json::Num(9007199254740991.0)),
             ("neg", Json::Num(-17.0)),
             ("unicode", Json::str("héllo ✓")),

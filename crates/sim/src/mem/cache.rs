@@ -183,9 +183,9 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Three distinct tags mapping to set 0 (line*sets = 256 stride).
-        c.access(0 * 256, false);
-        c.access(1 * 256, false);
-        c.access(0 * 256, false); // refresh tag 0
+        c.access(0, false);
+        c.access(256, false);
+        c.access(0, false); // refresh tag 0
         c.access(2 * 256, false); // evicts tag 1
         assert!(c.probe(0));
         assert!(!c.probe(256));

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, test, and format-check the whole workspace
+# Tier-1 verification: build, test, lint and format-check the whole workspace
 # fully offline (the workspace has zero external dependencies), then
 # smoke-test the serving daemon end to end.
 set -eu
@@ -16,6 +16,9 @@ cargo build --release --offline --workspace
 cargo test -q --offline
 cargo test -q --offline -p gem5prof-served
 cargo fmt --check
+# Lint gate: clippy's deny-level lints (correctness, suspicious
+# arithmetic such as `0 * x`) fail the build; warnings are reported only.
+cargo clippy --offline --workspace --all-targets
 
 # Cross-tier equivalence smoke on the bare engine: exec_tier_bench
 # exits nonzero if any (workload, CPU model) cell diverges between the
