@@ -2,6 +2,7 @@
 //! whole reproduction pipeline.
 
 use bench::harness::Runner;
+use gem5prof::experiment::{profile, GuestSpec, HostSetup};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
 use gem5sim::observe::{ExecutionObserver, Obs};
 use gem5sim::system::System;
@@ -11,6 +12,7 @@ use hostmodel::HostEngine;
 use hosttrace::record::{replay, ExecRecord, RecordingSink, TraceEvent, TraceSink};
 use hosttrace::registry::FunctionId;
 use hosttrace::{BinaryVariant, PageBacking, Registry, TraceAdapter};
+use platforms::firesim;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -78,6 +80,22 @@ fn main() {
         let mut e = HostEngine::new(platforms::intel_xeon().config, Arc::clone(&reg));
         replay(&events, &mut e);
         e.finish().cycles
+    });
+
+    // The shape of one Fig. 14 point: one guest on the seven FireSim
+    // hosts. Cold records the stream and replays it per host; warm
+    // replays the cached stream only.
+    let spec = GuestSpec::new(Workload::Sieve, Scale::Test, CpuModel::O3, SimMode::Se);
+    let hosts: Vec<HostSetup> = firesim::fig14_sweep()
+        .into_iter()
+        .map(HostSetup::raw)
+        .collect();
+    r.bench("profile/fig14_shape_cold", || {
+        gem5prof::runner::clear_cache();
+        profile(&spec, &hosts).hosts.len()
+    });
+    r.bench("profile/fig14_shape_warm", || {
+        profile(&spec, &hosts).hosts.len()
     });
 
     r.finish();

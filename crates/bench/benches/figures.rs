@@ -19,7 +19,8 @@ fn main() {
         max_iters: 10,
     };
 
-    let figs: Vec<(&str, fn(Fidelity) -> Table)> = vec![
+    type Figure = fn(Fidelity) -> Table;
+    let figs: Vec<(&str, Figure)> = vec![
         ("fig01", figures::fig01),
         ("fig02", figures::fig02),
         ("fig03", figures::fig03),

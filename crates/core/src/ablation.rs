@@ -16,18 +16,14 @@
 //!   BTB capacity) and show which mechanisms the simulation-speed story
 //!   actually rests on.
 
-use crate::experiment::{GuestSpec, HostSetup};
+use crate::experiment::{registry_for, simulate, GuestSpec, HostSetup};
 use crate::report::Table;
-use gem5sim::config::{CpuModel, SimMode, SystemConfig};
-use gem5sim::observe::{CompClass, ExecutionObserver, Obs};
-use gem5sim::system::System;
+use gem5sim::config::{CpuModel, SimMode};
+use gem5sim::observe::CompClass;
 use gem5sim_workloads::Workload;
 use hostmodel::HostEngine;
-use hosttrace::record::FanoutSink;
-use hosttrace::{BinaryVariant, PageBacking, Registry, TraceAdapter};
+use hosttrace::{BinaryVariant, PageBacking, TraceAdapter};
 use platforms::intel_xeon;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::figures::Fidelity;
@@ -35,30 +31,13 @@ use crate::figures::Fidelity;
 /// Runs one guest simulation with per-component work scaling applied to
 /// the adapter, returning host seconds on the Xeon.
 fn run_scaled(guest: &GuestSpec, scaled: Option<(CompClass, f32)>) -> f64 {
-    let reg = Arc::new(Registry::new(BinaryVariant::Base, PageBacking::Base));
+    let reg = registry_for(BinaryVariant::Base, PageBacking::Base);
     let engine = HostEngine::new(intel_xeon().config, Arc::clone(&reg));
-    let mut adapter = TraceAdapter::new(Arc::clone(&reg), FanoutSink::new(vec![engine]));
+    let mut adapter = TraceAdapter::new(reg, engine);
     if let Some((comp, factor)) = scaled {
         adapter.set_work_scale(comp, factor);
     }
-    let adapter = Rc::new(RefCell::new(adapter));
-    let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
-    let mut sys = System::with_observer(
-        SystemConfig::new(guest.cpu, guest.mode),
-        guest.workload.program(guest.scale),
-        obs,
-    );
-    sys.run();
-    drop(sys);
-    let adapter = Rc::try_unwrap(adapter).ok().expect("unique").into_inner();
-    let (fanout, _) = adapter.into_parts();
-    let stats = fanout
-        .into_inner()
-        .into_iter()
-        .next()
-        .expect("one engine")
-        .finish();
-    stats.seconds()
+    simulate(guest, adapter).1.finish().seconds()
 }
 
 /// Sec. VI: speedup from 10x-accelerating each component class alone.

@@ -1,11 +1,16 @@
 //! Experiment plumbing: one guest simulation, many host evaluations.
 //!
-//! [`profile`] is memoized per [`GuestSpec`] (see [`crate::runner`]): the
-//! first call simulates the guest and records the post-adapter event
-//! stream; later calls for the same spec replay that stream into fresh
-//! host engines without touching the simulator. Either path feeds every
-//! host engine the identical stream, so results never depend on whether
-//! they were served live or from cache.
+//! [`profile`] records once and replays once per host. The first call
+//! for a [`GuestSpec`] simulates the guest into a recorder and caches
+//! the post-adapter event stream (see [`crate::runner`]); that call and
+//! every later one for the same spec then replay the stream into each
+//! host's engine as its own parallel task, without touching the
+//! simulator again. A stream past the cache cap is the one exception:
+//! it is not kept. With one host or one thread the first simulation
+//! feeds the engines live once it passes the cap; otherwise each
+//! parallel worker re-simulates the guest once, feeding its share of
+//! the hosts' engines live. Every engine consumes the identical stream
+//! in order, so results never depend on the path or the thread count.
 
 use crate::runner::{self, CachedGuest, TRACE_CACHE_CAP};
 use gem5sim::config::{CpuModel, SimMode, SystemConfig};
@@ -13,8 +18,10 @@ use gem5sim::observe::{ExecutionObserver, Obs};
 use gem5sim::system::{SimResult, System};
 use gem5sim_workloads::{Microbench, Scale, Workload};
 use hostmodel::{HostEngine, HostRunStats};
-use hosttrace::record::{replay, FanoutSink, RecordingSink, TeeSink};
-use hosttrace::{BinaryVariant, CallProfile, PageBacking, Registry, TraceAdapter};
+use hosttrace::record::{replay, FanoutSink, TraceEvent};
+use hosttrace::{
+    BinaryVariant, CallProfile, DataRef, ExecRecord, PageBacking, Registry, TraceAdapter, TraceSink,
+};
 use platforms::{Platform, SystemKnobs};
 use specgen::SpecBenchmark;
 use std::cell::RefCell;
@@ -157,7 +164,8 @@ pub struct ProfileRun {
 /// process-wide so every worker thread sees the same instance.
 pub(crate) fn registry_for(binary: BinaryVariant, backing: PageBacking) -> Arc<Registry> {
     type Key = (BinaryVariant, PageBacking);
-    static CACHE: OnceLock<Mutex<Vec<(Key, Arc<Registry>)>>> = OnceLock::new();
+    type Registries = Mutex<Vec<(Key, Arc<Registry>)>>;
+    static CACHE: OnceLock<Registries> = OnceLock::new();
     let mut c = CACHE
         .get_or_init(|| Mutex::new(Vec::new()))
         .lock()
@@ -170,47 +178,14 @@ pub(crate) fn registry_for(binary: BinaryVariant, backing: PageBacking) -> Arc<R
     r
 }
 
-fn engines_for(hosts: &[HostSetup]) -> Vec<HostEngine> {
-    hosts
-        .iter()
-        .map(|h| HostEngine::new(h.config.clone(), registry_for(h.binary, h.backing)))
-        .collect()
-}
-
-/// Runs one guest simulation, feeding every host setup from the same
-/// instrumentation stream (so host comparisons are exact, not sampled).
-///
-/// Memoized: the first profile of a [`GuestSpec`] records the stream;
-/// subsequent profiles of the same spec replay it into the new host
-/// engines and perform zero guest simulation.
-pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
-    assert!(!hosts.is_empty(), "at least one host setup required");
-    let _span = gem5prof_obs::span("profile");
-    let _wspan = gem5prof_obs::span(guest.workload.name());
-    let canon = registry_for(BinaryVariant::Base, PageBacking::Base);
-
-    if let Some(cached) = runner::cache_lookup(guest) {
-        let _replay = gem5prof_obs::span("replay");
-        let mut fanout = FanoutSink::new(engines_for(hosts));
-        replay(&cached.events, &mut fanout);
-        return ProfileRun {
-            guest: cached.guest.clone(),
-            hosts: fanout
-                .into_inner()
-                .into_iter()
-                .map(HostEngine::finish)
-                .collect(),
-            profile: cached.profile.clone(),
-            registry: canon,
-        };
-    }
-
-    // Miss: simulate once, feeding the engines live while recording the
-    // stream for the cache. The recorder degrades gracefully — a stream
-    // past the cap simply isn't cached.
-    let fanout = FanoutSink::new(engines_for(hosts));
-    let tee = TeeSink::new(fanout, RecordingSink::with_cap(TRACE_CACHE_CAP));
-    let adapter = Rc::new(RefCell::new(TraceAdapter::new(Arc::clone(&canon), tee)));
+/// Runs the guest simulation of `guest` once, observed by `adapter`,
+/// and returns the guest results with the adapter's sink and call
+/// profile.
+pub(crate) fn simulate<S: TraceSink + 'static>(
+    guest: &GuestSpec,
+    adapter: TraceAdapter<S>,
+) -> (SimResult, S, CallProfile) {
+    let adapter = Rc::new(RefCell::new(adapter));
     let obs = Obs::new(Rc::clone(&adapter) as Rc<RefCell<dyn ExecutionObserver>>);
 
     let program = match guest.corun {
@@ -227,7 +202,7 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
     };
     let mut cfg = SystemConfig::new(guest.cpu, guest.mode)
         .with_cpus(guest.harts)
-        .with_exec_tier(crate::runner::exec_tier());
+        .with_exec_tier(runner::exec_tier());
     if guest.corun_div > 1 {
         // Asymmetric pair: odd harts (the co-run partner's slot) run on
         // a divided clock.
@@ -238,36 +213,175 @@ pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
         );
     }
     let mut sys = System::with_observer(cfg, program, obs);
-    let guest_result = {
+    let result = {
         let _sim = gem5prof_obs::span("guest_sim");
         sys.run()
     };
     drop(sys);
 
-    let adapter = Rc::try_unwrap(adapter)
-        .ok()
-        .expect("system dropped; adapter is uniquely owned")
-        .into_inner();
-    let (tee, profile) = adapter.into_parts();
-    let (fanout, recorder) = (tee.a, tee.b);
-    if let Some(events) = recorder.into_events() {
-        runner::cache_insert(
-            *guest,
-            CachedGuest {
-                guest: guest_result.clone(),
-                profile: profile.clone(),
-                events,
-            },
-        );
+    let adapter = Rc::into_inner(adapter).expect("system dropped; adapter is uniquely owned");
+    let (sink, profile) = adapter.into_inner().into_parts();
+    (result, sink, profile)
+}
+
+fn engine_for(host: &HostSetup) -> HostEngine {
+    HostEngine::new(host.config.clone(), registry_for(host.binary, host.backing))
+}
+
+/// The sink of a profile miss: records the stream for the cache, up to
+/// `cap` events. Past the cap it replays the recorded prefix into the
+/// engines of its `live` hosts and feeds them from then on, so they see
+/// the whole stream from this one simulation.
+struct MissSink {
+    events: Vec<TraceEvent>,
+    cap: usize,
+    live: Vec<HostSetup>,
+    engines: Option<FanoutSink<HostEngine>>,
+}
+
+impl MissSink {
+    fn new(cap: usize, live: Vec<HostSetup>) -> Self {
+        MissSink {
+            events: Vec::new(),
+            cap,
+            live,
+            engines: None,
+        }
     }
-    ProfileRun {
-        guest: guest_result,
-        hosts: fanout
-            .into_inner()
+
+    /// Records `ev` while the stream is within the cap; past it, returns
+    /// the live engines for the caller to feed.
+    fn past_cap(&mut self, ev: TraceEvent) -> Option<&mut FanoutSink<HostEngine>> {
+        if self.engines.is_none() {
+            if self.events.len() < self.cap {
+                self.events.push(ev);
+                return None;
+            }
+            let mut engines = FanoutSink::new(self.live.iter().map(engine_for).collect());
+            replay(&std::mem::take(&mut self.events), &mut engines);
+            self.engines = Some(engines);
+        }
+        self.engines.as_mut()
+    }
+
+    /// The recorded stream, or the live hosts' results (none when there
+    /// were no live hosts) if the stream passed the cap.
+    fn finish(self) -> Result<Vec<TraceEvent>, Vec<HostRunStats>> {
+        match self.engines {
+            None => Ok(self.events),
+            Some(engines) => Err(engines
+                .into_inner()
+                .into_iter()
+                .map(HostEngine::finish)
+                .collect()),
+        }
+    }
+}
+
+impl TraceSink for MissSink {
+    fn exec(&mut self, rec: ExecRecord) {
+        if let Some(engines) = self.past_cap(TraceEvent::exec(rec)) {
+            engines.exec(rec);
+        }
+    }
+    fn data(&mut self, dref: DataRef) {
+        if let Some(engines) = self.past_cap(TraceEvent::data(dref)) {
+            engines.data(dref);
+        }
+    }
+}
+
+/// Profiles a stream too long to keep: each worker re-runs the guest
+/// once and feeds its share of the hosts live, so this costs threads()
+/// simulations, not one per host.
+fn resimulate(guest: &GuestSpec, hosts: &[HostSetup], canon: &Arc<Registry>) -> Vec<HostRunStats> {
+    let per_worker = hosts.len().div_ceil(runner::threads());
+    let shares: Vec<&[HostSetup]> = hosts.chunks(per_worker).collect();
+    runner::parallel_map(&shares, |share| {
+        let _engine = gem5prof_obs::span("host_engine");
+        let engines = FanoutSink::new(share.iter().map(engine_for).collect());
+        let adapter = TraceAdapter::new(Arc::clone(canon), engines);
+        let engines = simulate(guest, adapter).1.into_inner();
+        engines
             .into_iter()
             .map(HostEngine::finish)
-            .collect(),
-        profile,
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Profiles one guest run on several hosts. Every host sees the same
+/// instrumentation stream, so host comparisons are exact, not sampled.
+///
+/// Record once, replay per host: a miss simulates the guest once into a
+/// recorder and caches the stream; then (as on a hit) each host's engine
+/// replays the whole stream as its own [`runner::parallel_map`] task.
+/// Later profiles of the same spec perform zero guest simulation. A
+/// stream past the cache cap is not kept: its hosts are fed live, from
+/// the first simulation when there is one host or one thread, else from
+/// one re-simulation per worker.
+pub fn profile(guest: &GuestSpec, hosts: &[HostSetup]) -> ProfileRun {
+    profile_with_cap(guest, hosts, TRACE_CACHE_CAP)
+}
+
+fn profile_with_cap(guest: &GuestSpec, hosts: &[HostSetup], cap: usize) -> ProfileRun {
+    assert!(!hosts.is_empty(), "at least one host setup required");
+    let _span = gem5prof_obs::span("profile");
+    let _wspan = gem5prof_obs::span(guest.workload.name());
+    let canon = registry_for(BinaryVariant::Base, PageBacking::Base);
+
+    let cached = match runner::cache_lookup(guest) {
+        Some(cached) => cached,
+        None => {
+            // With one host or one thread a second simulation gains
+            // nothing: past the cap the hosts take the stream live from
+            // this one. Otherwise each worker re-simulates its share.
+            let live = if hosts.len() == 1 || runner::threads() == 1 {
+                hosts.to_vec()
+            } else {
+                Vec::new()
+            };
+            let adapter = TraceAdapter::new(Arc::clone(&canon), MissSink::new(cap, live));
+            let (guest_result, sink, profile) = simulate(guest, adapter);
+            let events = match sink.finish() {
+                Ok(events) => events,
+                Err(live) => {
+                    let hosts = if live.is_empty() {
+                        resimulate(guest, hosts, &canon)
+                    } else {
+                        live
+                    };
+                    return ProfileRun {
+                        guest: guest_result,
+                        hosts,
+                        profile,
+                        registry: canon,
+                    };
+                }
+            };
+            runner::cache_insert(
+                *guest,
+                CachedGuest {
+                    guest: guest_result,
+                    profile,
+                    events,
+                },
+            )
+        }
+    };
+
+    let hosts = runner::parallel_map(hosts, |h| {
+        let _engine = gem5prof_obs::span("host_engine");
+        let mut engine = engine_for(h);
+        replay(&cached.events, &mut engine);
+        engine.finish()
+    });
+    ProfileRun {
+        guest: cached.guest.clone(),
+        hosts,
+        profile: cached.profile.clone(),
         registry: canon,
     }
 }
@@ -288,14 +402,14 @@ pub fn profile_spec(bench: SpecBenchmark, hosts: &[HostSetup], records: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platforms::{intel_xeon, m1_pro};
+    use platforms::{intel_xeon, m1_pro, m1_ultra};
 
     fn quick(cpu: CpuModel) -> GuestSpec {
         GuestSpec::new(Workload::Dedup, Scale::Test, cpu, SimMode::Se)
     }
 
     #[test]
-    fn fanout_hosts_see_identical_streams() {
+    fn hosts_see_identical_streams() {
         let xeon = HostSetup::platform(&intel_xeon());
         let run = profile(&quick(CpuModel::Atomic), &[xeon.clone(), xeon]);
         assert_eq!(run.hosts.len(), 2);
@@ -332,18 +446,32 @@ mod tests {
     }
 
     #[test]
-    fn cached_replay_equals_live_profile() {
+    fn past_cap_live_run_equals_cached_replay() {
         let hosts = [
             HostSetup::platform(&intel_xeon()),
             HostSetup::platform(&m1_pro()),
+            HostSetup::platform(&m1_ultra()),
         ];
-        let spec = quick(CpuModel::Minor);
-        let live = profile(&spec, &hosts);
-        // Same spec again: served by replay, must be indistinguishable.
+        // A spec no other test profiles, so the capped calls really run
+        // live instead of hitting a stream cached by someone else.
+        let spec = GuestSpec::new(Workload::Sieve, Scale::Test, CpuModel::Minor, SimMode::Se)
+            .with_harts(2);
+        // One thread feeds all three hosts from the first simulation;
+        // two re-simulate once per share, 2 + 1 hosts.
+        let live: Vec<ProfileRun> = [1, 2]
+            .into_iter()
+            .map(|t| runner::with_threads(t, || profile_with_cap(&spec, &hosts, 1_000)))
+            .collect();
+        assert!(
+            runner::cache_lookup(&spec).is_none(),
+            "a stream past the cap must not be cached"
+        );
         let replayed = profile(&spec, &hosts);
-        assert_eq!(live.guest, replayed.guest);
-        assert_eq!(live.hosts, replayed.hosts);
-        assert_eq!(live.profile, replayed.profile);
+        for live in &live {
+            assert_eq!(live.guest, replayed.guest);
+            assert_eq!(live.hosts, replayed.hosts);
+            assert_eq!(live.profile, replayed.profile);
+        }
     }
 
     #[test]

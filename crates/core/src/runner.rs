@@ -7,8 +7,13 @@
 //! work list across cores with scoped threads and work stealing, and the
 //! [trace cache](cache_stats) makes each [`GuestSpec`] guest simulation
 //! run at most once per process: its post-adapter event stream is
-//! recorded and replayed into the host engines of every later profile of
-//! the same spec.
+//! recorded once, then replayed once per host, each host engine as its
+//! own `parallel_map` task. `profile` thus nests a fan-out inside the
+//! figure's: one figure runs at most `threads()²` threads, and a server
+//! computing `workers` figures at once at most `workers × threads()²`.
+//! A stream past the cache cap is not kept; its hosts are fed live
+//! instead, from the first simulation when there is one host or one
+//! thread, else from one re-simulation per worker share.
 //!
 //! Determinism contract: `parallel_map(items, f)[i] == f(&items[i])`,
 //! assembled in input order, for any thread count and any interleaving.
@@ -185,7 +190,11 @@ where
     // Keep logical span parentage across the fan-out: worker threads
     // re-root their spans under the caller's current span path, so a
     // `figure → profile → workload` chain survives the thread hop.
+    // Captured before `parallel_wait` opens, so worker paths skip it.
     let parent = gem5prof_obs::span::current_path();
+    // The caller's wait for its workers is a child span, not the
+    // caller's self time.
+    let _wait = gem5prof_obs::span("parallel_wait");
 
     let ranges: Vec<Mutex<Range>> = (0..workers)
         .map(|w| {
@@ -304,7 +313,8 @@ pub(crate) struct CachedGuest {
 
 /// Cap on cached events per guest simulation. A
 /// [`TraceEvent`] packs into 16 bytes, so an entry holds at most 128 MiB
-/// of events. Streams past the cap are profiled live but not cached.
+/// of events. Streams past the cap are not cached: their hosts are fed
+/// live instead (see [`crate::profile`]).
 pub(crate) const TRACE_CACHE_CAP: usize = 8_000_000;
 
 /// Running totals for the trace cache, readable by tests and tools.
@@ -420,6 +430,33 @@ mod tests {
             })
         });
         assert_eq!(got[1..], items[1..]);
+    }
+
+    #[test]
+    fn waiting_on_workers_is_not_parent_self_time() {
+        // Two 20 ms children on 2 workers: the caller's wait belongs to
+        // `parallel_wait`, and the children keep their parent's path.
+        with_threads(2, || {
+            let _parent = gem5prof_obs::span("runner_test_parent");
+            parallel_map(&[0u8, 1], |_| {
+                let _child = gem5prof_obs::span("runner_test_child");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            });
+        });
+        let nodes = gem5prof_obs::span::snapshot();
+        let find = |path: &[&str]| {
+            nodes
+                .iter()
+                .find(|n| n.path == path)
+                .unwrap_or_else(|| panic!("missing span {path:?}"))
+        };
+        let parent = find(&["runner_test_parent"]);
+        assert!(
+            parent.self_ns < 5_000_000,
+            "parent self time must exclude the wait: {parent:?}"
+        );
+        assert_eq!(find(&["runner_test_parent", "runner_test_child"]).count, 2);
+        assert_eq!(find(&["runner_test_parent", "parallel_wait"]).count, 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl BasicBlock {
 
     /// The instruction at `pc`, if `pc` falls inside this block.
     pub fn inst_at(&self, pc: u64) -> Option<Inst> {
-        if pc < self.entry || pc >= self.end_pc() || (pc - self.entry) % INST_BYTES != 0 {
+        if pc < self.entry || pc >= self.end_pc() || !(pc - self.entry).is_multiple_of(INST_BYTES) {
             return None;
         }
         Some(self.insts[((pc - self.entry) / INST_BYTES) as usize])

@@ -385,9 +385,8 @@ mod tests {
         st.write(Reg::SP, mem.len() as u64);
         for _ in 0..max_steps {
             let inst = prog.fetch(st.pc).expect("pc out of text");
-            match step(&mut st, inst, mem) {
-                StepAction::Halt => return st,
-                _ => {}
+            if step(&mut st, inst, mem) == StepAction::Halt {
+                return st;
             }
         }
         panic!("program did not halt in {max_steps} steps");

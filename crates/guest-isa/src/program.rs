@@ -57,7 +57,7 @@ impl Program {
     /// Fetches the instruction at `pc`, or `None` if `pc` is outside the
     /// text segment or misaligned.
     pub fn fetch(&self, pc: u64) -> Option<Inst> {
-        if pc < TEXT_BASE || (pc - TEXT_BASE) % INST_BYTES != 0 {
+        if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INST_BYTES) {
             return None;
         }
         self.text
@@ -81,7 +81,7 @@ impl Program {
     /// segment or misaligned. Each successful patch bumps
     /// [`version`](Self::version) so decoded-code caches can invalidate.
     pub fn patch(&mut self, pc: u64, inst: Inst) -> bool {
-        if pc < TEXT_BASE || (pc - TEXT_BASE) % INST_BYTES != 0 {
+        if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INST_BYTES) {
             return false;
         }
         match self.text.get_mut(((pc - TEXT_BASE) / INST_BYTES) as usize) {

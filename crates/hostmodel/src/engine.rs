@@ -550,7 +550,7 @@ mod tests {
             // cold tail's compulsory DRAM fetches amortize.
             for i in 0..120_000u64 {
                 let h = mix64(i);
-                let f = if h % 20 != 0 {
+                let f = if !h.is_multiple_of(20) {
                     h % 150
                 } else {
                     150 + mix64(h) % 2350

@@ -105,7 +105,7 @@ impl<S: TraceSink> ExecutionObserver for TraceAdapter<S> {
                 func: hfid,
                 uops,
                 cond_branches: 1 + (mix64(h) % 3) as u8,
-                indirect_branches: (h % 8 == 0) as u8,
+                indirect_branches: h.is_multiple_of(8) as u8,
                 loads: 1 + (uops / 5) as u8,
                 stores: (uops / 8) as u8,
                 variant: hv,

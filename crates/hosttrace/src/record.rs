@@ -56,8 +56,7 @@ impl TraceSink for NullSink {
     fn data(&mut self, _dref: DataRef) {}
 }
 
-/// Fans one stream out to several sinks — used to evaluate multiple host
-/// platforms over a single guest simulation.
+/// Fans one stream out to several sinks, feeding them in one pass.
 #[derive(Debug, Default)]
 pub struct FanoutSink<S> {
     /// The downstream sinks.
@@ -217,35 +216,6 @@ impl TraceSink for RecordingSink {
     }
 }
 
-/// Duplicates one stream into two heterogeneous sinks — used to feed host
-/// engines live while simultaneously recording the stream for the
-/// memoization cache.
-#[derive(Debug)]
-pub struct TeeSink<A, B> {
-    /// First downstream sink.
-    pub a: A,
-    /// Second downstream sink.
-    pub b: B,
-}
-
-impl<A, B> TeeSink<A, B> {
-    /// Wraps the two sinks.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn exec(&mut self, rec: ExecRecord) {
-        self.a.exec(rec);
-        self.b.exec(rec);
-    }
-    fn data(&mut self, dref: DataRef) {
-        self.a.data(dref);
-        self.b.data(dref);
-    }
-}
-
 /// Replays a recorded stream into a sink, exactly as it was emitted.
 pub fn replay<S: TraceSink>(events: &[TraceEvent], sink: &mut S) {
     for &ev in events {
@@ -334,19 +304,6 @@ mod tests {
         }
         assert!(r.overflowed());
         assert!(r.into_events().is_none());
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let mut t = TeeSink::new(CountingSink::default(), RecordingSink::with_cap(10));
-        t.exec(rec(7));
-        t.data(DataRef {
-            addr: 0x40,
-            bytes: 4,
-            write: false,
-        });
-        assert_eq!((t.a.execs, t.a.datas), (1, 1));
-        assert_eq!(t.b.into_events().unwrap().len(), 2);
     }
 
     #[test]

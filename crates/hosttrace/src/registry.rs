@@ -152,7 +152,7 @@ impl Registry {
                 // each pool: hot steady-state paths are loop-shaped, rare
                 // paths carry the unpredictable decisions.
                 let in_cold_half = i >= pool.primaries + pool.helpers / 2;
-                let taken_rate = if in_cold_half && h % 25 == 0 {
+                let taken_rate = if in_cold_half && h.is_multiple_of(25) {
                     55 + (mix64(h) % 30) as u8
                 } else {
                     86 + (mix64(h) % 14) as u8

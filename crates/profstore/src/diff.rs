@@ -18,10 +18,12 @@ use crate::Snapshot;
 use std::collections::BTreeMap;
 
 /// Hot spans the regression gate watches by default: the event-queue
-/// drain and guest simulation loops the paper's speedups protect, plus
-/// the server's per-request compute span. Matching is by path *leaf*,
-/// so `serve_compute;profile;dedup;guest_sim` counts toward `guest_sim`.
-pub const DEFAULT_HOT_SPANS: &[&str] = &["eventq_drain", "guest_sim", "serve_compute"];
+/// drain and guest simulation loops the paper's speedups protect, the
+/// host-engine replay that dominates a profile's cost, plus the
+/// server's per-request compute span. Matching is by path *leaf*, so
+/// `serve_compute;profile;dedup;guest_sim` counts toward `guest_sim`.
+pub const DEFAULT_HOT_SPANS: &[&str] =
+    &["eventq_drain", "guest_sim", "host_engine", "serve_compute"];
 
 /// Default regression threshold: a watched span failing with more than
 /// this much per-call self-time growth fails the gate.
@@ -340,6 +342,41 @@ mod tests {
         assert!(gate(&a, &a, &spans, 0.0, 0.0).pass);
         // An empty baseline cannot fail the gate.
         assert!(gate(&snap(9, &[]), &b, &spans, DEFAULT_THRESHOLD_PCT, 0.0).pass);
+    }
+
+    #[test]
+    fn gate_catches_a_host_engine_slowdown() {
+        // Host engines replay outside `eventq_drain`, one `host_engine`
+        // span per host, so only watching that span sees them slow down.
+        let a = snap(
+            1,
+            &[
+                ("serve_compute;profile;dedup;host_engine", 2, 200_000_000),
+                (
+                    "serve_compute;profile;dedup;guest_sim;eventq_drain",
+                    1,
+                    5_000_000,
+                ),
+            ],
+        );
+        let b = snap(
+            2,
+            &[
+                ("serve_compute;profile;dedup;host_engine", 2, 400_000_000),
+                (
+                    "serve_compute;profile;dedup;guest_sim;eventq_drain",
+                    1,
+                    5_000_000,
+                ),
+            ],
+        );
+        let spans: Vec<String> = DEFAULT_HOT_SPANS.iter().map(|s| s.to_string()).collect();
+        let result = gate(&a, &b, &spans, DEFAULT_THRESHOLD_PCT, DEFAULT_MIN_DELTA_NS);
+        assert!(!result.pass, "{result:?}");
+        let check = |name: &str| result.checks.iter().find(|c| c.span == name).unwrap();
+        assert!(check("host_engine").regressed);
+        assert_eq!(check("host_engine").delta_pct, Some(100.0));
+        assert!(!check("eventq_drain").regressed);
     }
 
     #[test]

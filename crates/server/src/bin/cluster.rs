@@ -184,7 +184,7 @@ fn main() {
         }
         i += 2;
     }
-    if spawn_n.is_some() == !member_list.is_empty() {
+    if spawn_n.is_some() != member_list.is_empty() {
         usage(); // exactly one of --spawn / --members
     }
 

@@ -382,7 +382,7 @@ impl Cluster {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> Option<(u16, Vec<(String, String)>, String)> {
+    ) -> Option<http::ClientResponse> {
         let m = &self.members[idx];
         let pooled = m.pool.lock().unwrap_or_else(|e| e.into_inner()).pop();
         let had_pooled = pooled.is_some();

@@ -407,8 +407,7 @@ impl Core {
                     break;
                 }
             }
-            let batch: Vec<poll::Event> = events.drain(..).collect();
-            for ev in batch {
+            for ev in events.drain(..) {
                 match ev.token {
                     LISTENER => self.accept_ready(),
                     WAKEUP => self.wake_ready(),
@@ -1090,15 +1089,14 @@ impl Core {
             && c.rbuf.len() < MAX_RBUF
             && c.wbuf.len() - c.woff < WBUF_SOFT_CAP;
         let want_write = c.woff < c.wbuf.len();
-        if (want_read, want_write) != (c.reg_read, c.reg_write) {
-            if self
+        if (want_read, want_write) != (c.reg_read, c.reg_write)
+            && self
                 .poller
                 .modify(c.fd, token, want_read, want_write)
                 .is_ok()
-            {
-                c.reg_read = want_read;
-                c.reg_write = want_write;
-            }
+        {
+            c.reg_read = want_read;
+            c.reg_write = want_write;
         }
     }
 

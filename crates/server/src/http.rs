@@ -457,6 +457,9 @@ pub(crate) const FINAL_CHUNK: &[u8] = b"0\r\n\r\n";
 // Client
 // ---------------------------------------------------------------------
 
+/// A client-side response: status, headers (lower-cased names), body.
+pub type ClientResponse = (u16, Vec<(String, String)>, String);
+
 /// A keep-alive HTTP/1.1 client connection.
 #[derive(Debug)]
 pub struct ClientConn {
@@ -510,7 +513,7 @@ impl ClientConn {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> io::Result<(u16, Vec<(String, String)>, String)> {
+    ) -> io::Result<ClientResponse> {
         let body = body.unwrap_or("");
         let msg = format!(
             "{method} {path} HTTP/1.1\r\nhost: gem5prof\r\ncontent-length: {}\r\n\r\n{body}",

@@ -536,7 +536,7 @@ fn serve_connection(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 shared.stats.count(400);
-                let body = minjson::Json::obj(vec![("error", minjson::Json::str(&e.to_string()))])
+                let body = minjson::Json::obj(vec![("error", minjson::Json::str(e.to_string()))])
                     .to_string_compact();
                 let _ = http::write_response(&mut writer, 400, body.as_bytes(), &[], true);
                 break;

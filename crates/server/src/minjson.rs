@@ -153,7 +153,7 @@ fn write_seq<T>(
     for (i, item) in items.enumerate() {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
         }
         each(out, item, indent, depth + 1);
         if i + 1 < n {
@@ -163,7 +163,7 @@ fn write_seq<T>(
     if n > 0 {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * depth));
+            out.extend(std::iter::repeat_n(' ', w * depth));
         }
     }
     out.push(close);

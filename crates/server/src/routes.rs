@@ -584,7 +584,7 @@ fn profile_json() -> String {
                     .collect(),
             ),
         ),
-        ("collapsed", Json::str(&gem5prof_obs::span::collapsed())),
+        ("collapsed", Json::str(gem5prof_obs::span::collapsed())),
     ])
     .to_string_compact()
 }
@@ -850,7 +850,7 @@ fn profile_diff(req: &Request, shared: &Shared) -> Reply {
                         ("min_delta_ns", Json::Num(gate.min_delta_ns)),
                         (
                             "hot_spans",
-                            Json::Arr(spans.iter().map(|s| Json::str(s)).collect()),
+                            Json::Arr(spans.iter().map(Json::str).collect()),
                         ),
                         (
                             "checks",

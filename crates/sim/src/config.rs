@@ -133,7 +133,7 @@ impl CacheConfig {
     /// `assoc * line`).
     pub fn sets(&self) -> u64 {
         assert!(
-            self.size % (self.assoc * self.line) == 0 && self.size > 0,
+            self.size.is_multiple_of(self.assoc * self.line) && self.size > 0,
             "inconsistent cache geometry {self:?}"
         );
         self.size / (self.assoc * self.line)

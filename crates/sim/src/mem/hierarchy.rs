@@ -168,7 +168,7 @@ impl MemSystem {
         if atomic {
             lat += self.cyc(self.l2.config().hit_latency);
         } else {
-            let transfer = (self.l2.config().line as u64).div_ceil(16);
+            let transfer = self.l2.config().line.div_ceil(16);
             let start = (now + lat).max(self.l2_busy_until);
             let queue = start - (now + lat);
             self.l2_busy_until = start + self.cyc(transfer);

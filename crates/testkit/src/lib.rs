@@ -34,7 +34,7 @@ pub type PropResult = Result<(), String>;
 
 /// Default base seed; override with the `TESTKIT_SEED` environment
 /// variable to explore a different deterministic case stream.
-const DEFAULT_SEED: u64 = 0x15A55_2023;
+const DEFAULT_SEED: u64 = 0x0001_5A55_2023;
 
 /// A deterministic pseudo-random value generator (SplitMix64).
 #[derive(Debug, Clone)]
@@ -99,7 +99,7 @@ impl Gen {
 
     /// A fair coin flip.
     pub fn bool(&mut self) -> bool {
-        self.next_u64() % 2 == 0
+        self.next_u64().is_multiple_of(2)
     }
 
     /// Picks one element of a non-empty slice.

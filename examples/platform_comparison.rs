@@ -19,8 +19,8 @@ fn main() {
 
     println!("simulating canneal (simsmall) with four CPU models; host seconds per platform:\n");
     println!(
-        "{:<8} {:>14} {:>12} {:>12}  {}",
-        "CPU", "Intel_Xeon", "M1_Pro", "M1_Ultra", "speedup (Ultra vs Xeon)"
+        "{:<8} {:>14} {:>12} {:>12}  speedup (Ultra vs Xeon)",
+        "CPU", "Intel_Xeon", "M1_Pro", "M1_Ultra"
     );
     // One guest simulation per CPU model, run in parallel by the
     // work-stealing pool; each feeds all three platforms from one stream.

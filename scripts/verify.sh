@@ -16,9 +16,8 @@ cargo build --release --offline --workspace
 cargo test -q --offline
 cargo test -q --offline -p gem5prof-served
 cargo fmt --check
-# Lint gate: clippy's deny-level lints (correctness, suspicious
-# arithmetic such as `0 * x`) fail the build; warnings are reported only.
-cargo clippy --offline --workspace --all-targets
+# Lint gate: every clippy warning fails the build.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Cross-tier equivalence smoke on the bare engine: exec_tier_bench
 # exits nonzero if any (workload, CPU model) cell diverges between the
@@ -151,7 +150,7 @@ for TIER in interp block; do
 done
 # The co-run response holds two checksums (one per hart): 3 in total
 # with the single-hart microbench run.
-if [ "$(printf '%s' "$INTERP_SUMS" | tr ' ' '\n' | grep -c '^0x')" -ne 3 ]; then
+if [ "$(printf '%s' "$INTERP_SUMS" | grep -o '0x[0-9a-f]\{16\}' | wc -l)" -ne 3 ]; then
     echo "verify: expected 3 guest checksums across the two specs: $INTERP_SUMS" >&2
     exit 1
 fi
@@ -314,8 +313,9 @@ echo "verify: cluster chaos soak passed"
 # Continuous-profiling regression gate: snapshots must survive a daemon
 # restart, a clean re-run must pass the hot-span gate against the
 # blessed baseline (set GEM5PROF_BLESS=1 to accept a changed baseline
-# and re-bless instead of failing), and a daemon whose guest_sim
-# accounting is inflated by 2 s per call MUST trip the gate (exit 4).
+# and re-bless instead of failing), and daemons whose guest_sim or
+# host_engine accounting is inflated by 2 s per call MUST trip the gate
+# (exit 4).
 PROF_DIR="$(mktemp -d)"
 cleanup_prof() { rm -rf "$PROF_DIR"; }
 trap 'cleanup; cleanup_cluster; cleanup_prof' EXIT INT TERM
@@ -393,19 +393,22 @@ kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""
 
-# Window 3: inflated guest_sim accounting MUST trip the gate.
-start_prof_daemon GEM5PROF_SPAN_INFLATE=guest_sim=2000000000
-profile_window
-target/release/servectl --addr "$ADDR" --timeout-ms 5000 \
-    profile snapshot inflated > /dev/null
-GATE_RC=0
-target/release/servectl --addr "$ADDR" --timeout-ms 5000 profile diff > /dev/null \
-    || GATE_RC=$?
-if [ "$GATE_RC" -ne 4 ]; then
-    echo "verify: gate did not catch a 2 s/call guest_sim inflation (exit $GATE_RC)" >&2
-    exit 1
-fi
-kill -TERM "$SERVED_PID"
-wait "$SERVED_PID"
-SERVED_PID=""
+# Windows 3 and 4: inflated guest_sim, then host_engine, accounting
+# MUST trip the gate.
+for SPAN in guest_sim host_engine; do
+    start_prof_daemon GEM5PROF_SPAN_INFLATE=$SPAN=2000000000
+    profile_window
+    target/release/servectl --addr "$ADDR" --timeout-ms 5000 \
+        profile snapshot "inflated-$SPAN" > /dev/null
+    GATE_RC=0
+    target/release/servectl --addr "$ADDR" --timeout-ms 5000 profile diff > /dev/null \
+        || GATE_RC=$?
+    if [ "$GATE_RC" -ne 4 ]; then
+        echo "verify: gate did not catch a 2 s/call $SPAN inflation (exit $GATE_RC)" >&2
+        exit 1
+    fi
+    kill -TERM "$SERVED_PID"
+    wait "$SERVED_PID"
+    SERVED_PID=""
+done
 echo "verify: profstore regression gate passed"

@@ -35,7 +35,7 @@ fn golden_dir() -> PathBuf {
 }
 
 fn blessing() -> bool {
-    std::env::var("GEM5PROF_BLESS").map_or(false, |v| v == "1")
+    std::env::var("GEM5PROF_BLESS").is_ok_and(|v| v == "1")
 }
 
 /// A readable per-line failure report: the first few diverging lines,

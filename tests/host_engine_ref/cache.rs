@@ -25,7 +25,7 @@ impl HostCache {
     /// Panics if the geometry is inconsistent with `line`.
     pub fn new(geom: CacheGeom, line: u64) -> Self {
         assert!(
-            geom.size % (geom.assoc * line) == 0 && geom.size > 0,
+            geom.size.is_multiple_of(geom.assoc * line) && geom.size > 0,
             "bad geometry {geom:?}"
         );
         let sets = geom.size / (geom.assoc * line);

@@ -112,7 +112,7 @@ impl HostEngine {
     fn branch_outcome(site: u64, taken_rate: u8, k: u64) -> (bool, Option<u64>) {
         if taken_rate >= 86 {
             let period = 64 + (taken_rate as u64 - 85) * 40 + (mix64(site) % 64);
-            ((k + site) % period != 0, Some(period))
+            (!(k + site).is_multiple_of(period), Some(period))
         } else {
             ((mix2(site, k) % 100) < taken_rate as u64, None)
         }
@@ -264,7 +264,11 @@ impl TraceSink for HostEngine {
             // Site polymorphism: most virtual call sites are monomorphic
             // in practice; a minority see several receiver types.
             let h = mix64(site ^ 0xD15EA5E);
-            let poly = if h % 8 == 0 { 2 + mix64(h) % 4 } else { 1 };
+            let poly = if h.is_multiple_of(8) {
+                2 + mix64(h) % 4
+            } else {
+                1
+            };
             let target = mix2(site, r.variant as u64 % poly);
             if self.bp.indirect_branch(site, target) {
                 self.td.fe_latency.unknown_branches += resteer;

@@ -17,7 +17,7 @@ use gem5sim_isa::Program;
 use gem5sim_workloads::{corun_program, Microbench, Scale, Workload};
 use std::cell::RefCell;
 use std::rc::Rc;
-use testkit::{prop_assert, prop_assert_eq, run_cases, Gen};
+use testkit::{prop_assert, prop_assert_eq, run_cases};
 
 /// Everything observable about one simulation run.
 struct TierRun {
