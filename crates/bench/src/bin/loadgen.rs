@@ -33,15 +33,16 @@
 //!
 //! Clients are well-behaved: 429s honor the server's `Retry-After` and
 //! transport errors reconnect with jittered exponential backoff (see
-//! `bench::retry`); retries are reported separately from drops.
+//! `gem5prof_served::retry`); retries are reported separately from
+//! drops.
 //!
 //! `--open-loop --connections N` switches to the connection-scaling
 //! mode: one thread drives `N` concurrent keep-alive connections
 //! through the same readiness loop (`gem5prof_served::poll`) the
 //! server core uses, each issuing `--requests` requests. A
 //! thread-per-connection generator cannot hold 10 000 sockets; this
-//! one can, which is exactly the regime the readiness-core tentpole
-//! exists for. The report gains `mode`, `connections`, and
+//! one can, which is exactly the regime the readiness core exists
+//! for. The report gains `mode`, `connections`, and
 //! `max_established` fields.
 //!
 //! Latencies are recorded into one lock-free gem5prof-obs histogram
@@ -50,11 +51,12 @@
 //! Prometheus `histogram_quantile` over the server's own request-path
 //! histograms would give.
 
-use bench::retry::{request_with_retry, RetryPolicy};
+use gem5prof_chaos::splitmix64;
 use gem5prof_obs::metrics::duration_buckets;
 use gem5prof_obs::HistogramSnapshot;
 use gem5prof_served::http::{one_shot, ClientConn};
 use gem5prof_served::minjson::{self, Json};
+use gem5prof_served::retry::{request_with_retry, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,15 +73,6 @@ fn usage() -> ! {
          [--open-loop --connections N]"
     );
     std::process::exit(2);
-}
-
-/// splitmix64: the deterministic per-(client, request) coin for
-/// `--duplicate-fraction` (same generator the chaos plan uses).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// A histogram quantile in whole microseconds.

@@ -33,13 +33,13 @@
 //! router; `cluster drain` posts `/drain`, which the router's process
 //! observes and turns into a graceful fleet-wide shutdown.
 //!
-//! The request rides the shared retry policy (`bench::retry`): 429s
-//! honor `Retry-After`, connect refusal backs off exponentially — so a
-//! daemon still binding its port, or momentarily saturated, does not
-//! flake the smoke test.
+//! The request rides the shared retry policy
+//! (`gem5prof_served::retry`): 429s honor `Retry-After`, connect
+//! refusal backs off exponentially — so a daemon still binding its
+//! port, or momentarily saturated, does not flake the smoke test.
 
-use bench::retry::{request_with_retry, RetryPolicy};
 use gem5prof_served::minjson;
+use gem5prof_served::retry::{request_with_retry, RetryPolicy};
 use std::time::Duration;
 
 fn usage() -> ! {

@@ -9,7 +9,6 @@ use gem5sim_workloads::{Scale, Workload};
 
 pub mod harness;
 pub mod out;
-pub mod retry;
 pub mod soak;
 
 /// A tiny guest spec for microbenchmarks.

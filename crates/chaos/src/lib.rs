@@ -200,8 +200,11 @@ pub fn arm_from_env() -> Option<Plan> {
     }
 }
 
-/// SplitMix64: the per-visit decision hash.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64: a stateless 64-bit mixer. Here it is the per-visit
+/// decision hash; the serving side shares it for retry jitter, cluster
+/// ring positions and loadgen's duplicate coin, so a seed replays the
+/// same way everywhere.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -209,10 +212,12 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over the point name, so each point gets its own stream.
-fn fnv1a(s: &str) -> u64 {
+/// FNV-1a 64 over bytes. Here it seeds each fault point's own stream
+/// from the point name; the serving side shares it for on-disk
+/// checksums, cache file names and cluster ring keys.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -248,7 +253,7 @@ fn decide(point: &'static str) -> Option<u64> {
     });
     let k = ps.hits;
     ps.hits += 1;
-    let word = splitmix64(seed ^ fnv1a(point) ^ k.wrapping_mul(0x2545_F491_4F6C_DD1D));
+    let word = splitmix64(seed ^ fnv1a64(point.as_bytes()) ^ k.wrapping_mul(0x2545_F491_4F6C_DD1D));
     // Top 53 bits → uniform in [0, 1).
     let draw = (word >> 11) as f64 / (1u64 << 53) as f64;
     if draw < ps.prob {
@@ -399,6 +404,17 @@ mod tests {
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Published reference vectors: retry jitter, ring positions, cache
+    /// file names and on-disk checksums all depend on these bits.
+    #[test]
+    fn shared_hashes_match_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
     }
 
     #[test]

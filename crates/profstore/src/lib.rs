@@ -4,8 +4,8 @@
 //! win, and keep profiling so the win cannot silently decay. This crate
 //! is that loop as infrastructure. It persists per-window span profiles
 //! and metrics snapshots into a bounded, checksummed on-disk ring of
-//! `G5PS` segments (same durability discipline as the server's disk
-//! warm tier: magic + version + FNV-1a checksum, temp-write + rename,
+//! `G5PS` segments ([`frame`], the framing the server's disk warm tier
+//! shares: magic + version + FNV-1a checksum, temp-write + rename,
 //! corrupt/stale segments counted and skipped), diffs any two snapshots
 //! by per-call self time, and gates named hot spans against a blessed
 //! baseline.
@@ -27,6 +27,7 @@
 //! costing history, never wrong diffs.
 
 pub mod diff;
+pub mod frame;
 pub mod ring;
 
 pub use diff::{
@@ -182,9 +183,7 @@ fn persist(dir: &Path, snap: &Snapshot, stats: &StoreStats) {
             let _ = std::fs::write(&path, &bytes[..bytes.len() / 2]);
             return Err(e);
         }
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, &path)
+        frame::write_atomic(&path, &bytes)
     })();
     match result {
         Ok(()) => {
@@ -246,10 +245,10 @@ impl ProfStore {
                     max_id = max_id.max(snap.id);
                     index.insert(snap.id, Arc::new(snap));
                 }
-                Err(ring::Reject::Corrupt) => {
+                Err(frame::Reject::Corrupt) => {
                     stats.corrupt.fetch_add(1, Ordering::Relaxed);
                 }
-                Err(ring::Reject::Stale) => {
+                Err(frame::Reject::Stale) => {
                     stats.stale.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -349,12 +348,7 @@ impl ProfStore {
                 format!("unknown snapshot `{id}`"),
             ));
         }
-        let path = self.dir.join(BLESSED_FILE);
-        let tmp = self
-            .dir
-            .join(format!("{BLESSED_FILE}.tmp{}", std::process::id()));
-        std::fs::write(&tmp, id.to_string())?;
-        std::fs::rename(&tmp, &path)?;
+        frame::write_atomic(&self.dir.join(BLESSED_FILE), id.to_string().as_bytes())?;
         inner.blessed = Some(id);
         Ok(id)
     }

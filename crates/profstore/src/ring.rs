@@ -1,6 +1,7 @@
 //! The on-disk segment format: one self-describing, checksummed file
-//! per snapshot, same durability discipline as the server's disk warm
-//! tier (`G5PC` entries).
+//! per snapshot, framed by [`crate::frame`] (the same framing as the
+//! server's disk warm tier, whose `G5PC` entries differ only in magic,
+//! version and payload):
 //!
 //! ```text
 //! magic "G5PS" | version u8 | payload_len u32 LE | fnv1a64(payload) u64 LE | payload
@@ -22,6 +23,7 @@
 //! is simply absent from the index — a damaged ring can cost history,
 //! never wrong diffs.
 
+use crate::frame::{self, Reject};
 use crate::{MetricRow, Snapshot, SpanRow};
 
 /// Schema version of the segment layout; bump on any payload change.
@@ -32,29 +34,6 @@ const MAGIC: &[u8; 4] = b"G5PS";
 
 /// Extension for snapshot segment files.
 pub const EXT: &str = "g5ps";
-
-/// Header bytes before the payload: magic + version + len + checksum.
-const HEADER: usize = 4 + 1 + 4 + 8;
-
-/// FNV-1a over the payload, the same hash the warm tier uses.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Why a segment was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reject {
-    /// Wrong magic, impossible lengths, failed checksum, or a payload
-    /// that does not decode.
-    Corrupt,
-    /// Valid layout and checksum, but an older schema version.
-    Stale,
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -80,14 +59,7 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
         put_str(&mut payload, &m.name);
         payload.extend_from_slice(&m.value.to_bits().to_le_bytes());
     }
-
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.push(SEGMENT_FORMAT_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame::frame(MAGIC, SEGMENT_FORMAT_VERSION, &payload)
 }
 
 /// A little-endian cursor over the payload; every read is bounds-checked
@@ -125,25 +97,7 @@ impl<'a> Cursor<'a> {
 
 /// Parses a segment file back into a snapshot.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, Reject> {
-    if bytes.len() < HEADER || &bytes[0..4] != MAGIC {
-        return Err(Reject::Corrupt);
-    }
-    let version = bytes[4];
-    let payload_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(bytes[9..17].try_into().unwrap());
-    // Validate layout + checksum before the version, so a truncated
-    // segment of any version is corrupt, not stale.
-    if bytes.len() != HEADER + payload_len {
-        return Err(Reject::Corrupt);
-    }
-    let payload = &bytes[HEADER..];
-    if fnv1a(payload) != checksum {
-        return Err(Reject::Corrupt);
-    }
-    if version != SEGMENT_FORMAT_VERSION {
-        return Err(Reject::Stale);
-    }
-
+    let payload = frame::unframe(MAGIC, SEGMENT_FORMAT_VERSION, bytes)?;
     let mut c = Cursor {
         bytes: payload,
         pos: 0,
@@ -255,18 +209,11 @@ mod tests {
     #[test]
     fn trailing_bytes_inside_a_valid_checksum_are_corrupt() {
         let snap = sample();
-        let mut payload_plus = encode(&snap);
-        // Rebuild the segment with one extra payload byte and a fixed-up
-        // header: checksum passes, cursor position does not.
-        let payload_len = payload_plus.len() - 17;
-        let mut payload = payload_plus.split_off(17);
+        // Reframe the payload with one extra byte: the checksum passes,
+        // the cursor position does not.
+        let mut payload = encode(&snap).split_off(frame::HEADER);
         payload.push(0xAB);
-        let mut out = Vec::new();
-        out.extend_from_slice(b"G5PS");
-        out.push(SEGMENT_FORMAT_VERSION);
-        out.extend_from_slice(&((payload_len + 1) as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let out = frame::frame(b"G5PS", SEGMENT_FORMAT_VERSION, &payload);
         assert_eq!(decode(&out), Err(Reject::Corrupt));
     }
 }

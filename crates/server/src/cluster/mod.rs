@@ -652,9 +652,9 @@ impl core::Service for RouterService {
         self.cluster.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    // The router has never kept response books (nodes count their own
-    // outcomes); parse errors likewise go uncounted, matching the old
-    // blocking loop which only counted parsed requests.
+    // The router keeps no response books (nodes count their own
+    // outcomes), and it counts only parsed requests, so parse errors
+    // go uncounted too.
     fn count_response(&self, _status: u16) {}
 
     fn count_parse_error(&self) {}

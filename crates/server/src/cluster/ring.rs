@@ -19,6 +19,8 @@
 //! ring rebuild (re-admission restores the original ownership for
 //! free).
 
+use gem5prof_chaos::{fnv1a64, splitmix64};
+
 /// Virtual nodes per member: enough that the max/mean member load on
 /// realistic key counts stays within ~±25% (see the property tests in
 /// `tests/cluster_ring.rs`), cheap enough that rebuilds are trivial.
@@ -28,20 +30,7 @@ pub const DEFAULT_VNODES: usize = 160;
 /// on short ASCII inputs (member names, `figure:figNN` keys); the
 /// splitmix finisher spreads those clusters over the full 64-bit ring.
 fn hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(fnv1a64(bytes))
 }
 
 /// A consistent-hash ring over member indices `0..n`.

@@ -1,34 +1,33 @@
 //! The nonblocking readiness core: one poller thread driving every
 //! connection through a read → parse → route → write state machine.
 //!
-//! This replaces thread-per-connection serving (ROADMAP item 3): the
-//! old model capped concurrency at OS thread count and let one slow
-//! reader pin a thread through a multi-second compute. Here a single
-//! thread owns all sockets via [`crate::poll::Poller`] (epoll on
-//! Linux, `poll(2)` elsewhere); blocking work stays on threads —
-//! the engine's worker pool for computes, a small offload pool for
-//! cluster forwards — and completed results re-enter the loop through
-//! a self-wake pipe.
+//! A single thread owns all sockets via [`crate::poll::Poller`] (epoll
+//! on Linux, `poll(2)` elsewhere), so concurrency is bounded by
+//! `max_conns`, not by OS threads, and a slow client never pins a
+//! thread through a multi-second compute. Blocking work stays on
+//! threads — the engine's worker pool for computes, a small offload
+//! pool for cluster forwards — and completed results re-enter the loop
+//! through a self-wake pipe.
 //!
-//! Per-connection guarantees the blocking core could not make:
+//! Per-connection guarantees:
 //!
 //! * a **read deadline** armed when the connection goes idle and *not*
 //!   extended by partial request bytes, so a slow-loris drip-feeding
 //!   headers is disconnected on schedule;
 //! * a **write deadline** extended only by actual write progress, so a
 //!   client that stops reading mid-response is disconnected instead of
-//!   wedging a thread forever (the old `set_write_timeout` gap);
+//!   holding its connection and buffers forever;
 //! * a **connection cap**: accepts beyond `max_conns` get an immediate
-//!   canned 503 + `Retry-After` instead of an unbounded thread;
+//!   canned 503 + `Retry-After`, so open connections stay bounded;
 //! * **accept-error backoff**: accept failures (EMFILE and friends)
-//!   back off exponentially and are counted, instead of a hot 10ms
-//!   retry loop.
+//!   back off exponentially and are counted, so a descriptor shortage
+//!   never turns into a hot retry loop.
 //!
 //! Accounting is exactly-once by construction: every parsed request
 //! produces exactly one `count_response` — at response queue time for
-//! replies (delivery failures don't un-count, matching the blocking
-//! core), or as status `0` ("other") when a connection dies while its
-//! compute is still pending. Saturation 503s are *not* counted in the
+//! replies (a later delivery failure does not un-count it), or as
+//! status `0` ("other") when a connection dies while its compute is
+//! still pending. Saturation 503s are *not* counted in the
 //! request/response balance: no request was ever parsed on those
 //! connections.
 
@@ -327,8 +326,7 @@ pub(crate) fn spawn(
             let rx = Arc::clone(&rx);
             let completions = Arc::clone(&completions);
             let waker = pipe.waker();
-            // Detached, like the old per-connection threads: they exit
-            // when the core drops the sender; a straggler finishing a
+            // Detached: they exit when the core drops the sender; a straggler finishing a
             // forward after the core died pushes into a list nobody
             // reads and wakes a closed pipe, both harmless.
             let _ = std::thread::Builder::new()
@@ -904,8 +902,8 @@ impl Core {
                     )),
                     Err(TryRecvError::Empty) => {
                         if now >= p.deadline {
-                            // Dropping the rx matches `recv_timeout`
-                            // expiry: the eventual result still warms
+                            // Dropping the rx abandons only this
+                            // wait: the eventual result still warms
                             // the cache for the next requester.
                             PendingAction::Resolve((
                                 504,
@@ -992,7 +990,7 @@ impl Core {
 
     /// Queues one complete response (head + body) and starts flushing.
     /// The caller has already counted the outcome; a later delivery
-    /// failure does not un-count it (same as the blocking core).
+    /// failure does not un-count it.
     fn queue_response(
         &mut self,
         token: u64,
@@ -1002,8 +1000,8 @@ impl Core {
         close: bool,
     ) {
         // Torn-write chaos: head plus half the body go out, then the
-        // connection drops — the wire-level fault the blocking
-        // `write_response` injected.
+        // connection drops. The client must detect the truncation, not
+        // hang on it.
         let torn = chaos::inject("http.torn_write");
         let now = Instant::now();
         let c = match self.conns.get_mut(&token) {
@@ -1108,8 +1106,8 @@ impl Core {
         if c.pending.take().is_some() {
             // A parsed request whose compute will never reach the
             // wire: count it as "other" so every request still has
-            // exactly one outcome (the blocking core's
-            // `server.conn_drop` convention).
+            // exactly one outcome (the same convention as an injected
+            // `server.conn_drop`).
             self.service.count_response(0);
         }
         if c.torn && self.service.recover_wire_chaos() {

@@ -395,8 +395,8 @@ pub(crate) struct Engine {
     metrics: EngineMetrics,
     /// Completion hook for the readiness core: called whenever a job
     /// finishes (any outcome) so the poller re-checks pending
-    /// receivers instead of blocking in `recv_timeout`. `None` under
-    /// the legacy thread-per-connection path.
+    /// receivers promptly. `None` until `serve` installs it (engines
+    /// built directly by unit tests never have one).
     waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 

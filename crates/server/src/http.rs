@@ -1,23 +1,17 @@
 //! A deliberately small HTTP/1.1 implementation over std TCP.
 //!
-//! Server side: [`read_request`] parses one request from a buffered
-//! stream (with hard limits on line length, header count and body size)
-//! and [`write_response`] emits a `Content-Length`-framed response.
-//! Client side: [`ClientConn`] is a keep-alive connection used by
-//! `servectl`, `loadgen` and the integration tests.
+//! Server side: the readiness core parses requests incrementally from
+//! its per-connection buffers with [`try_parse_request`] (hard limits
+//! on line length, header count and body size; errors detected as
+//! early as the bytes allow) and frames responses with
+//! [`response_head`]. Client side: [`ClientConn`] is a keep-alive
+//! connection used by `servectl`, `loadgen` and the integration tests.
 //!
 //! Only what the serving layer needs is implemented: no multipart, no
 //! TLS. Responses carry an explicit `Content-Length`, except streamed
 //! progress responses which use `Transfer-Encoding: chunked` (the one
 //! place the readiness core emits a body of unknown length).
-//!
-//! The readiness-loop core parses requests incrementally from its
-//! per-connection buffers via [`try_parse_request`]; the blocking
-//! [`read_request`] form remains for the thread-per-connection
-//! baseline (`--thread-per-conn`) and tests. Both share the same
-//! validation rules and limits.
 
-use gem5prof_chaos as chaos;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -68,8 +62,9 @@ impl Request {
     }
 }
 
-/// Reads one line terminated by `\r\n` (tolerating bare `\n`), bounded
-/// by [`MAX_LINE`].
+/// Reads one response line terminated by `\r\n` (tolerating bare
+/// `\n`), bounded by [`MAX_LINE`]. `Ok(None)` is a clean EOF before
+/// the first byte.
 fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
     loop {
@@ -103,112 +98,6 @@ fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Parses one request. `Ok(None)` means the peer closed the connection
-/// cleanly before sending another request; `Err(InvalidData)` means the
-/// bytes were not a well-formed request (the caller should answer 400
-/// and close).
-pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
-    if let Some(e) = chaos::io_error("http.read") {
-        return Err(e);
-    }
-    let line = match read_line(r)? {
-        None => return Ok(None),
-        Some(l) => l,
-    };
-    let mut parts = line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => (m, t, v),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line `{line}`"),
-            ))
-        }
-    };
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "unsupported HTTP version",
-        ));
-    }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside headers"))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "too many headers",
-            ));
-        }
-        let (k, v) = line
-            .split_once(':')
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed header line"))?;
-        headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-    }
-
-    // Duplicate `Content-Length` headers are a request-smuggling vector:
-    // reject outright instead of silently trusting the first one.
-    if headers
-        .iter()
-        .filter(|(k, _)| k == "content-length")
-        .count()
-        > 1
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "duplicate Content-Length headers",
-        ));
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    if content_length > 0 && chaos::inject("http.short_read") {
-        // A peer that dies mid-body: consume part of it, then fail the
-        // read the way a closed socket would.
-        let mut partial = vec![0u8; content_length / 2];
-        r.read_exact(&mut partial)?;
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "chaos: short body read",
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
-
-    let close = headers
-        .iter()
-        .find(|(k, _)| k == "connection")
-        .map(|(_, v)| v.eq_ignore_ascii_case("close"))
-        .unwrap_or(version == "HTTP/1.0");
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), Some(q.to_string())),
-        None => (target.to_string(), None),
-    };
-
-    Ok(Some(Request {
-        method: method.to_ascii_uppercase(),
-        path,
-        query,
-        headers,
-        body,
-        close,
-    }))
 }
 
 /// Progress of [`try_parse_request`] over a byte buffer.
@@ -255,11 +144,12 @@ fn take_line(buf: &[u8], pos: &mut usize) -> io::Result<Option<String>> {
     }
 }
 
-/// Incremental form of [`read_request`]: parses one request from the
-/// front of `buf` without consuming it (the caller drains `consumed`
-/// bytes on `Complete`). Validation — limits, malformed lines,
-/// duplicate `Content-Length` — matches `read_request` exactly;
-/// errors are detected as early as the bytes allow.
+/// Parses one request from the front of `buf` without consuming it
+/// (the caller drains `consumed` bytes on `Complete`). An empty or
+/// incomplete buffer is `Partial`; malformed input, an over-limit
+/// line, header block or body, and duplicate `Content-Length` headers
+/// (a request-smuggling vector) are `InvalidData`, detected as early
+/// as the bytes allow.
 pub(crate) fn try_parse_request(buf: &[u8]) -> io::Result<ParseStatus> {
     let mut pos = 0usize;
     let line = match take_line(buf, &mut pos)? {
@@ -312,6 +202,8 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> io::Result<ParseStatus> {
         headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
     }
 
+    // Duplicate `Content-Length` headers are a request-smuggling vector:
+    // reject outright instead of silently trusting the first one.
     if headers
         .iter()
         .filter(|(k, _)| k == "content-length")
@@ -380,40 +272,11 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Content-Length`-framed response.
-///
-/// The content type defaults to `application/json`; an extra header
-/// named `content-type` overrides it (used by the Prometheus `/metrics`
-/// exposition, which is plain text).
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    body: &[u8],
-    extra_headers: &[(String, String)],
-    close: bool,
-) -> io::Result<()> {
-    let head = response_head(status, Some(body.len()), extra_headers, close);
-    if chaos::inject("http.torn_write") {
-        // A torn response: full header (advertising the real length) but
-        // only half the body, then the connection errors out. The client
-        // must detect the truncation, not hang on it.
-        w.write_all(head.as_bytes())?;
-        w.write_all(&body[..body.len() / 2])?;
-        let _ = w.flush();
-        return Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "chaos: torn response write",
-        ));
-    }
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
-    w.flush()
-}
-
 /// Renders a response head. `body_len: Some(n)` frames with
 /// `Content-Length`; `None` frames with `Transfer-Encoding: chunked`
-/// (streamed progress responses). Header order matches what
-/// [`write_response`] has always emitted.
+/// (streamed progress responses). The content type defaults to
+/// `application/json`; an extra header named `content-type` overrides
+/// it (the Prometheus `/metrics` exposition is plain text).
 pub(crate) fn response_head(
     status: u16,
     body_len: Option<usize>,
@@ -636,24 +499,44 @@ pub fn one_shot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    /// Parses a buffer that must hold exactly one complete request.
+    fn parse_one(raw: &[u8]) -> Request {
+        match try_parse_request(raw).unwrap() {
+            ParseStatus::Complete { req, consumed } => {
+                assert_eq!(consumed, raw.len(), "{raw:?}");
+                req
+            }
+            partial => panic!("incomplete parse of {raw:?}: {partial:?}"),
+        }
+    }
 
     #[test]
     fn parses_a_request_with_body_and_query() {
         let raw = b"POST /experiments?x=1&y=2 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_one(raw);
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/experiments");
+        assert_eq!(req.query.as_deref(), Some("x=1&y=2"));
         assert_eq!(req.query_param("y"), Some("2"));
         assert_eq!(req.body, b"abcd");
         assert!(!req.close);
+        assert_eq!(
+            req.headers,
+            vec![
+                ("host".to_string(), "h".to_string()),
+                ("content-length".to_string(), "4".to_string()),
+            ]
+        );
         assert_eq!(req.header("host"), Some("h"));
     }
 
     #[test]
     fn bare_query_keys_are_flag_parameters() {
-        let raw = b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut Cursor::new(&raw[..])).unwrap().unwrap();
+        let req = parse_one(b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n");
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/x");
+        assert!(req.headers.is_empty() && req.body.is_empty());
         assert_eq!(req.query_param("quick"), Some(""));
         assert_eq!(req.query_param("depth"), Some("3"));
         assert_eq!(req.query_param("missing"), None);
@@ -662,14 +545,21 @@ mod tests {
     #[test]
     fn duplicate_content_length_is_rejected() {
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
-        let err = read_request(&mut Cursor::new(&raw[..])).unwrap_err();
+        let err = try_parse_request(raw).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("duplicate Content-Length"));
     }
 
     #[test]
     fn eof_between_requests_is_clean() {
-        assert!(read_request(&mut Cursor::new(&b""[..])).unwrap().is_none());
+        // Nothing buffered yet is not an error: the connection is idle
+        // between requests, and no body is owed.
+        assert!(matches!(
+            try_parse_request(b"").unwrap(),
+            ParseStatus::Partial {
+                body_expected: false
+            }
+        ));
     }
 
     #[test]
@@ -681,79 +571,34 @@ mod tests {
             &b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
         ] {
-            let err = read_request(&mut Cursor::new(raw)).unwrap_err();
+            let err = try_parse_request(raw).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{raw:?}");
         }
     }
 
     #[test]
     fn connection_close_and_http10_are_detected() {
-        let raw = b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(
-            read_request(&mut Cursor::new(&raw[..]))
-                .unwrap()
-                .unwrap()
-                .close
+        let req = parse_one(b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(req.close);
+        assert_eq!(
+            req.headers,
+            vec![("connection".to_string(), "close".to_string())]
         );
-        let raw = b"GET /x HTTP/1.0\r\n\r\n";
-        assert!(
-            read_request(&mut Cursor::new(&raw[..]))
-                .unwrap()
-                .unwrap()
-                .close
-        );
+        assert!(parse_one(b"GET /x HTTP/1.0\r\n\r\n").close);
     }
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
-            429,
-            b"{}",
-            &[("retry-after".into(), "1".into())],
-            false,
-        )
-        .unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(s.contains("content-type: application/json\r\n"));
-        assert!(s.contains("content-length: 2\r\n"));
-        assert!(s.contains("retry-after: 1\r\n"));
-        assert!(s.ends_with("\r\n\r\n{}"));
-    }
-
-    #[test]
-    fn incremental_parser_agrees_with_blocking_parser() {
-        let corpus: &[&[u8]] = &[
-            b"POST /experiments?x=1&y=2 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd",
-            b"GET /x?quick&depth=3 HTTP/1.1\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n",
-            b"GET /x HTTP/1.0\r\n\r\n",
-            b"GARBAGE\r\n\r\n",
-            b"GET /x HTTP/2.0\r\n\r\n",
-            b"GET noslash HTTP/1.1\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nbadheader\r\n\r\n",
-            b"GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
-        ];
-        for raw in corpus {
-            let blocking = read_request(&mut Cursor::new(*raw));
-            let incremental = try_parse_request(raw);
-            match (blocking, incremental) {
-                (Ok(Some(a)), Ok(ParseStatus::Complete { req: b, consumed })) => {
-                    assert_eq!(a.method, b.method, "{raw:?}");
-                    assert_eq!(a.path, b.path);
-                    assert_eq!(a.query, b.query);
-                    assert_eq!(a.headers, b.headers);
-                    assert_eq!(a.body, b.body);
-                    assert_eq!(a.close, b.close);
-                    assert_eq!(consumed, raw.len(), "{raw:?}");
-                }
-                (Err(a), Err(b)) => assert_eq!(a.kind(), b.kind(), "{raw:?}"),
-                (a, b) => panic!("parsers disagree on {raw:?}: {a:?} vs {b:?}"),
-            }
-        }
+        let head = response_head(429, Some(2), &[("retry-after".into(), "1".into())], false);
+        assert_eq!(
+            head,
+            "HTTP/1.1 429 Too Many Requests\r\n\
+             content-type: application/json\r\n\
+             content-length: 2\r\n\
+             retry-after: 1\r\n\
+             connection: keep-alive\r\n\r\n"
+        );
+        assert!(response_head(200, Some(0), &[], true).ends_with("connection: close\r\n\r\n"));
     }
 
     #[test]
@@ -810,20 +655,16 @@ mod tests {
 
     #[test]
     fn content_type_header_overrides_default() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let head = response_head(
             200,
-            b"x 1\n",
+            Some(4),
             &[("content-type".into(), "text/plain; version=0.0.4".into())],
             false,
-        )
-        .unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("content-type: text/plain; version=0.0.4\r\n"));
+        );
+        assert!(head.contains("content-type: text/plain; version=0.0.4\r\n"));
         assert!(
-            !s.contains("application/json"),
-            "default content type must be suppressed: {s}"
+            !head.contains("application/json"),
+            "default content type must be suppressed: {head}"
         );
     }
 }

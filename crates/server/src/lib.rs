@@ -45,12 +45,11 @@ use engine::{Engine, EngineConfig, ServerStats};
 use gem5prof_chaos as chaos;
 use http::Request;
 use routes::{Routed, Shared};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -91,8 +90,8 @@ pub struct ServeConfig {
     /// Profstore ring capacity (snapshots kept, memory and disk).
     pub profile_cap: usize,
     /// Connection cap for the readiness core: accepts beyond it get an
-    /// immediate canned 503 + `Retry-After` instead of an unbounded
-    /// per-connection thread.
+    /// immediate canned 503 + `Retry-After`, so open connections stay
+    /// bounded.
     pub max_conns: usize,
     /// Idle / slow-header deadline. Partial request bytes do NOT
     /// extend it, so drip-fed headers (slow loris) die on schedule.
@@ -101,11 +100,6 @@ pub struct ServeConfig {
     /// response is disconnected once writes make no progress for this
     /// long.
     pub write_timeout: Duration,
-    /// Serve with the legacy blocking thread-per-connection core.
-    /// Exists only for benchmarking the structural baseline the
-    /// readiness core replaces (`--thread-per-conn`), like
-    /// `--no-coalesce` does for the thundering herd.
-    pub thread_per_conn: bool,
     /// Socket send-buffer override for accepted connections. Tests and
     /// benches force tiny buffers to hit write deadlines
     /// deterministically; `None` (production) keeps kernel defaults.
@@ -130,7 +124,6 @@ impl Default for ServeConfig {
             max_conns: 4096,
             read_timeout: IDLE_TIMEOUT,
             write_timeout: Duration::from_secs(10),
-            thread_per_conn: false,
             sndbuf: None,
         }
     }
@@ -143,10 +136,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     draining: Arc<AtomicBool>,
     engine: Arc<Engine>,
-    /// Legacy thread-per-connection acceptor (`thread_per_conn`).
-    acceptor: Option<JoinHandle<()>>,
-    /// Readiness core (the default serving path).
-    core: Option<CoreHandle>,
+    /// The readiness core that owns every connection.
+    core: CoreHandle,
     profstore: Option<Arc<gem5prof_profstore::ProfStore>>,
 }
 
@@ -171,18 +162,11 @@ impl ServerHandle {
         // Nudge the core so it observes the flag now: it stops
         // accepting, answers buffered requests with 503, and holds
         // only connections still waiting on the engine.
-        if let Some(core) = &self.core {
-            core.wake();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        self.core.wake();
         // Resolves every in-flight compute; each completion wakes the
         // core, which unwinds its last pending connections.
         self.engine.drain();
-        if let Some(mut core) = self.core.take() {
-            core.join();
-        }
+        self.core.join();
         // Land any queued profile segments before reporting "drained":
         // a restarted daemon must see every snapshot captured before
         // the shutdown.
@@ -192,8 +176,9 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener and starts acceptor + workers. Returns once the
-/// socket is listening — the daemon then runs on background threads.
+/// Binds the listener and starts the readiness core + workers. Returns
+/// once the socket is listening — the daemon then runs on background
+/// threads.
 pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let workers = if cfg.workers == 0 {
         gem5prof::threads()
@@ -202,8 +187,6 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
     };
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    // Non-blocking accept so the acceptor can observe the drain flag.
-    listener.set_nonblocking(true)?;
 
     let engine = Engine::start(EngineConfig {
         workers,
@@ -289,36 +272,30 @@ pub fn serve(cfg: ServeConfig) -> io::Result<ServerHandle> {
         profstore: profstore.clone(),
     });
 
-    let (acceptor, core) = if cfg.thread_per_conn {
-        (Some(legacy_acceptor(listener, shared, &cfg)?), None)
-    } else {
-        let service: Arc<dyn Service> = Arc::new(ServedService { shared });
-        let core = core::spawn(
-            listener,
-            service,
-            CoreConfig {
-                name: "served",
-                max_conns: cfg.max_conns,
-                read_timeout: cfg.read_timeout,
-                write_timeout: cfg.write_timeout,
-                sndbuf: cfg.sndbuf,
-                // The served daemon never offloads: blocking work runs
-                // on the engine's worker pool.
-                offload_threads: 0,
-            },
-        )?;
-        // Completed jobs nudge the poller so pending connections are
-        // answered promptly instead of on the idle tick.
-        let waker = core.waker();
-        engine.set_waker(Box::new(move || waker.wake()));
-        (None, Some(core))
-    };
+    let service: Arc<dyn Service> = Arc::new(ServedService { shared });
+    let core = core::spawn(
+        listener,
+        service,
+        CoreConfig {
+            name: "served",
+            max_conns: cfg.max_conns,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+            sndbuf: cfg.sndbuf,
+            // The served daemon never offloads: blocking work runs on
+            // the engine's worker pool.
+            offload_threads: 0,
+        },
+    )?;
+    // Completed jobs nudge the poller so pending connections are
+    // answered promptly instead of on the idle tick.
+    let waker = core.waker();
+    engine.set_waker(Box::new(move || waker.wake()));
 
     Ok(ServerHandle {
         addr,
         draining,
         engine,
-        acceptor,
         core,
         profstore,
     })
@@ -369,8 +346,8 @@ impl Service for ServedService {
     }
 
     fn count_parse_error(&self) {
-        // Same books as the blocking core's `InvalidData` arm: the
-        // malformed request is counted, and so is its 400.
+        // A malformed request is still a request: count it, and
+        // count its 400.
         self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.stats.count(400);
     }
@@ -406,153 +383,6 @@ impl Service for ServedService {
     }
 }
 
-/// The pre-readiness-core serving loop: one OS thread per connection.
-/// Kept (behind `thread_per_conn`) as the structural baseline
-/// `bench_serving.sh` measures the core against, with its connection
-/// bugs fixed: no fallible `try_clone`, a write timeout, and
-/// exponential accept-error backoff.
-fn legacy_acceptor(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    cfg: &ServeConfig,
-) -> io::Result<JoinHandle<()>> {
-    let draining = Arc::clone(&shared.draining);
-    let (read_timeout, write_timeout) = (cfg.read_timeout, cfg.write_timeout);
-    std::thread::Builder::new()
-        .name("served-acceptor".into())
-        .spawn(move || {
-            let mut error_streak = 0u32;
-            loop {
-                if draining.load(Ordering::Relaxed) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        error_streak = 0;
-                        let shared = Arc::clone(&shared);
-                        let _ = std::thread::Builder::new()
-                            .name("served-conn".into())
-                            .spawn(move || {
-                                serve_connection(stream, &shared, read_timeout, write_timeout)
-                            });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        error_streak = 0;
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => {
-                        // EMFILE and friends: retrying in a hot 10ms
-                        // loop just spins; back off exponentially.
-                        error_streak += 1;
-                        let pause = (1u64 << error_streak.min(10)).min(1000);
-                        std::thread::sleep(Duration::from_millis(pause));
-                    }
-                }
-            }
-        })
-}
-
-/// Idle keep-alive timeout: a connection with no request for this long
-/// is closed so connection threads cannot accumulate.
+/// Default idle keep-alive deadline: a connection with no request for
+/// this long is closed, so idle sockets cannot accumulate.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Serves one connection: a keep-alive loop of request → route →
-/// response. Returns (closing the connection) on EOF, idle timeout,
-/// malformed input, drain, or an explicit `Connection: close`.
-fn serve_connection(
-    stream: TcpStream,
-    shared: &Shared,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    // A stalled reader must not wedge this thread forever (the
-    // readiness core enforces the same bound with its write deadline).
-    let _ = stream.set_write_timeout(Some(write_timeout));
-    // Read and write through plain references to the one stream — the
-    // old `try_clone` had a failure path that silently dropped the
-    // connection with no response and no stats count.
-    let mut writer = &stream;
-    let mut reader = BufReader::new(&stream);
-    loop {
-        match http::read_request(&mut reader) {
-            Ok(Some(req)) => {
-                // One span per request: routing + compute wait + write.
-                let _span = gem5prof_obs::span("http_request");
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                if chaos::inject("server.conn_drop") {
-                    // The connection dies after the request is parsed but
-                    // before any response: the client must see a clean
-                    // transport error, never a wedged thread. Count it as
-                    // an "other" response so `/stats` accounting stays
-                    // exact (every parsed request gets an outcome).
-                    shared.stats.count(0);
-                    chaos::recovered("server.conn_drop");
-                    break;
-                }
-                let draining = shared.draining.load(Ordering::Relaxed);
-                // `/peek` stays answerable during a drain: it is a pure
-                // warm-tier read (never a compute), and a draining node
-                // is exactly the "old owner" a peer wants to fetch from
-                // before recomputing a migrated key.
-                let (status, body, extra) = if draining && req.path != "/peek" {
-                    (
-                        503,
-                        minjson::Json::obj(vec![("error", minjson::Json::str("draining"))])
-                            .to_string_compact(),
-                        // `Retry-After` marks this as a transient,
-                        // retry-me-elsewhere condition; clients honor it
-                        // like a 429 (see `retry`).
-                        vec![("retry-after".into(), "1".into())],
-                    )
-                } else {
-                    routes::handle(&req, shared)
-                };
-                shared.stats.count(status);
-                let close = req.close || draining;
-                match http::write_response(&mut writer, status, body.as_bytes(), &extra, close) {
-                    Ok(()) if !close => {}
-                    Ok(()) => break,
-                    Err(e) => {
-                        // A torn/failed write is survived by dropping the
-                        // connection; the response was already counted.
-                        if chaos::is_chaos_error(&e) {
-                            chaos::recovered("http.torn_write");
-                        }
-                        break;
-                    }
-                }
-            }
-            Ok(None) => break, // peer closed between requests
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                break; // idle keep-alive expiry
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                shared.stats.count(400);
-                let body = minjson::Json::obj(vec![("error", minjson::Json::str(e.to_string()))])
-                    .to_string_compact();
-                let _ = http::write_response(&mut writer, 400, body.as_bytes(), &[], true);
-                break;
-            }
-            Err(e) => {
-                // Connection-level failure (including injected read
-                // errors and short reads): survived by closing cleanly.
-                if chaos::is_chaos_error(&e) {
-                    chaos::recovered(if e.kind() == io::ErrorKind::UnexpectedEof {
-                        "http.short_read"
-                    } else {
-                        "http.read"
-                    });
-                }
-                break;
-            }
-        }
-    }
-}

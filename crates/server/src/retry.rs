@@ -21,12 +21,12 @@
 //! Jitter is deterministic (seeded splitmix64 over the attempt index),
 //! matching the repository-wide rule that test traffic must replay.
 //!
-//! This module lives in the server crate (rather than `bench`, its
-//! original home) so the serving layer itself — the cluster router and
-//! the engine's peer fetch — can reuse it; `bench::retry` re-exports it
-//! unchanged for the client binaries.
+//! This module lives in the server crate so the serving layer itself —
+//! the cluster router and the engine's peer fetch — and the client
+//! binaries in `bench` (`servectl`, `loadgen`, `soak`) share one policy.
 
 use crate::http::ClientConn;
+use gem5prof_chaos::splitmix64;
 use std::io;
 use std::time::Duration;
 
@@ -55,14 +55,6 @@ impl Default for RetryPolicy {
             timeout: Duration::from_secs(30),
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {
@@ -123,7 +115,7 @@ pub fn request_with_retry(
         match attempt {
             // 429 backpressure always invites a retry; 503 only when the
             // server said `Retry-After` (a draining daemon does — see
-            // `serve_connection` — and wants the client elsewhere
+            // `routes::draining_reply` — and wants the client elsewhere
             // meanwhile, so the stale keep-alive connection is dropped).
             Ok((status @ (429 | 503), headers, body))
                 if status == 429 || retry_after(&headers).is_some() =>

@@ -1,9 +1,9 @@
 //! Route dispatch and JSON rendering.
 //!
 //! Cheap endpoints (`/healthz`, `/stats`, `/metrics`, `/profile`) are
-//! answered inline on the connection thread; compute endpoints
-//! (`/figures/*`, `/tables/*`, `POST /experiments`) go through the
-//! engine's cache + admission queue.
+//! answered inline on the readiness core's poller thread; compute
+//! endpoints (`/figures/*`, `/tables/*`, `POST /experiments`) go
+//! through the engine's cache + admission queue.
 
 use crate::engine::{Engine, ServerStats, Submission, Work};
 use crate::http::Request;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// A finished response: status, JSON body, extra headers.
 pub(crate) type Reply = (u16, String, Vec<(String, String)>);
 
-/// Shared server state every connection thread sees.
+/// Shared server state the router and the service see.
 pub(crate) struct Shared {
     pub engine: std::sync::Arc<Engine>,
     pub stats: std::sync::Arc<ServerStats>,
@@ -126,36 +126,6 @@ pub(crate) fn dispatch(req: &Request, shared: &Shared) -> Routed {
     }
 }
 
-/// Blocking dispatch: routes, then waits out any compute under the
-/// per-request deadline. The legacy thread-per-connection path (and
-/// tests) use this; the readiness core uses [`dispatch`] directly.
-pub(crate) fn handle(req: &Request, shared: &Shared) -> Reply {
-    match dispatch(req, shared) {
-        Routed::Done(reply) => reply,
-        Routed::Pending { rx, .. } => await_pending(&rx, shared.deadline),
-    }
-}
-
-/// Waits for a compute result the way `recv_timeout` always has:
-/// 200/500 on an answer, 504 on deadline (the eventual result still
-/// warms the cache), 500 if the worker died without answering.
-pub(crate) fn await_pending(
-    rx: &mpsc::Receiver<Result<Arc<String>, String>>,
-    deadline: Duration,
-) -> Reply {
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(body)) => (200, (*body).clone(), Vec::new()),
-        Ok(Err(msg)) => plain(500, &msg),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            plain(504, "deadline exceeded (result will be cached)")
-        }
-        // The worker dropped the reply sender without answering (it
-        // panicked mid-job): a server fault, reported immediately —
-        // not a deadline expiry after a pointless full wait.
-        Err(mpsc::RecvTimeoutError::Disconnected) => plain(500, "worker failed before replying"),
-    }
-}
-
 /// Routes answered inline (no compute): status, caches, profiles,
 /// peers, and the 4xx fall-throughs.
 fn inline_routes(req: &Request, shared: &Shared) -> Reply {
@@ -182,7 +152,7 @@ fn inline_routes(req: &Request, shared: &Shared) -> Reply {
         ("GET", path) if path.starts_with("/tables/") => plain(404, "not found"),
         // Peer warm-tier probe: the body is a canonical result-cache
         // key; answer from the local tiers or 404 — never compute. Kept
-        // answerable during drain (see `serve_connection`) so a
+        // answerable during drain (see `ServedService::dispatch`) so a
         // draining node's warm entries remain fetchable.
         ("POST", "/peek") => match std::str::from_utf8(&req.body) {
             Ok(key) if !key.is_empty() => match shared.engine.peek(key) {

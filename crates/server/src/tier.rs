@@ -15,24 +15,29 @@
 //!          the write is never on a requester's critical path)
 //! ```
 //!
-//! Disk entries are self-describing files under the cache directory:
+//! Disk entries are self-describing files under the cache directory,
+//! framed by `gem5prof_profstore::frame` (the framing the profile
+//! store's `G5PS` segments share):
 //!
 //! ```text
-//! magic "G5PC" | version u8 | key_len u32 LE | body_len u32 LE |
-//! fnv1a64(key ++ body) u64 LE | key bytes | body bytes
+//! magic "G5PC" | version u8 | payload_len u32 LE | fnv1a64(payload) u64 LE |
+//! payload = key_len u32 LE | key bytes | body bytes
 //! ```
 //!
 //! The version byte is the **cache schema version**: any change to the
-//! rendered-response format bumps [`DISK_FORMAT_VERSION`], and entries
-//! carrying an older byte are ignored (counted as `stale`) rather than
-//! served. Truncated or bit-flipped files fail the checksum and are
-//! ignored as `corrupt`. Either way the daemon recomputes and the next
-//! write-behind replaces the bad file — a damaged cache directory can
-//! cost recomputes, never wrong answers.
+//! entry layout or the rendered-response format bumps
+//! [`DISK_FORMAT_VERSION`], and intact entries carrying another byte
+//! are ignored (counted as `stale`) rather than served. Truncated or
+//! bit-flipped files, and files whose header does not parse (such as
+//! entries in the version-1 layout), are ignored as `corrupt`. Either
+//! way the daemon recomputes and the next write-behind replaces the
+//! bad file — a damaged cache directory can cost recomputes, never
+//! wrong answers.
 
 use gem5prof::cache::{default_shards, CacheSnapshot, ShardedLru};
-use gem5prof_chaos as chaos;
+use gem5prof_chaos::{self as chaos, fnv1a64};
 use gem5prof_obs as obs;
+use gem5prof_profstore::frame::{self, Reject};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,7 +45,8 @@ use std::time::Instant;
 
 /// Schema version of the on-disk entry format. Bump on any change to
 /// the file layout **or** to the rendered JSON the entries contain.
-pub(crate) const DISK_FORMAT_VERSION: u8 = 1;
+/// Version 2 moved the entries onto the shared framing.
+pub(crate) const DISK_FORMAT_VERSION: u8 = 2;
 
 /// File magic (so a stray file in the cache dir is never parsed).
 const MAGIC: &[u8; 4] = b"G5PC";
@@ -48,76 +54,36 @@ const MAGIC: &[u8; 4] = b"G5PC";
 /// Extension for cache entry files.
 const EXT: &str = "g5pc";
 
-/// FNV-1a over arbitrary bytes; used both for entry checksums and for
-/// deriving stable file names from keys.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
 /// Serializes one entry to the on-disk layout.
 fn encode(key: &str, body: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(21 + key.len() + body.len());
-    out.extend_from_slice(MAGIC);
-    out.push(DISK_FORMAT_VERSION);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&[key.as_bytes(), body.as_bytes()]).to_le_bytes());
-    out.extend_from_slice(key.as_bytes());
-    out.extend_from_slice(body.as_bytes());
-    out
+    let mut payload = Vec::with_capacity(4 + key.len() + body.len());
+    payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    payload.extend_from_slice(key.as_bytes());
+    payload.extend_from_slice(body.as_bytes());
+    frame::frame(MAGIC, DISK_FORMAT_VERSION, &payload)
 }
 
-/// Why a disk entry was rejected.
-#[derive(Debug, PartialEq, Eq)]
-enum Reject {
-    /// Wrong magic, impossible lengths, bad checksum, or non-UTF-8.
-    Corrupt,
-    /// Valid layout but a different schema version.
-    Stale,
+/// Why a disk entry was not served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    /// Rejected by the framing or by the payload layout.
+    Reject(Reject),
     /// Valid entry for a *different* key (hash-collision on file name).
     WrongKey,
 }
 
 /// Parses an on-disk entry, returning the body if it is a valid,
 /// current-version entry for `key`.
-fn decode(bytes: &[u8], key: &str) -> Result<String, Reject> {
-    if bytes.len() < 21 || &bytes[0..4] != MAGIC {
-        return Err(Reject::Corrupt);
-    }
-    let version = bytes[4];
-    let key_len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-    let body_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(bytes[13..21].try_into().unwrap());
-    // Validate the layout before the version so a truncated file of any
-    // version is corrupt, not stale.
-    let Some(total) = 21usize
-        .checked_add(key_len)
-        .and_then(|n| n.checked_add(body_len))
-    else {
-        return Err(Reject::Corrupt);
-    };
-    if bytes.len() != total {
-        return Err(Reject::Corrupt);
-    }
-    let key_bytes = &bytes[21..21 + key_len];
-    let body_bytes = &bytes[21 + key_len..];
-    if fnv1a(&[key_bytes, body_bytes]) != checksum {
-        return Err(Reject::Corrupt);
-    }
-    if version != DISK_FORMAT_VERSION {
-        return Err(Reject::Stale);
-    }
+fn decode(bytes: &[u8], key: &str) -> Result<String, Miss> {
+    let payload = frame::unframe(MAGIC, DISK_FORMAT_VERSION, bytes).map_err(Miss::Reject)?;
+    let corrupt = Miss::Reject(Reject::Corrupt);
+    let (len, rest) = payload.split_first_chunk::<4>().ok_or(corrupt)?;
+    let key_len = u32::from_le_bytes(*len) as usize;
+    let (key_bytes, body_bytes) = rest.split_at_checked(key_len).ok_or(corrupt)?;
     if key_bytes != key.as_bytes() {
-        return Err(Reject::WrongKey);
+        return Err(Miss::WrongKey);
     }
-    String::from_utf8(body_bytes.to_vec()).map_err(|_| Reject::Corrupt)
+    String::from_utf8(body_bytes.to_vec()).map_err(|_| corrupt)
 }
 
 /// Atomic counters for the disk tier, readable as a [`DiskSnapshot`].
@@ -166,7 +132,7 @@ impl DiskTier {
 
     fn path_for(&self, key: &str) -> PathBuf {
         self.dir
-            .join(format!("{:016x}.{EXT}", fnv1a(&[key.as_bytes()])))
+            .join(format!("{:016x}.{EXT}", fnv1a64(key.as_bytes())))
     }
 
     /// Reads the entry for `key`, if a valid current-version one exists.
@@ -185,11 +151,13 @@ impl DiskTier {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(body)
             }
-            Err(reject) => {
-                match reject {
-                    Reject::Corrupt => self.stats.corrupt.fetch_add(1, Ordering::Relaxed),
-                    Reject::Stale => self.stats.stale.fetch_add(1, Ordering::Relaxed),
-                    Reject::WrongKey => 0, // a different key's entry, plain miss
+            Err(miss) => {
+                match miss {
+                    Miss::Reject(Reject::Corrupt) => {
+                        self.stats.corrupt.fetch_add(1, Ordering::Relaxed)
+                    }
+                    Miss::Reject(Reject::Stale) => self.stats.stale.fetch_add(1, Ordering::Relaxed),
+                    Miss::WrongKey => 0, // a different key's entry, plain miss
                 };
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -197,9 +165,9 @@ impl DiskTier {
         }
     }
 
-    /// Persists `key → body` (write to a temp file, then rename, so a
-    /// crash mid-write leaves either the old entry or none — never a
-    /// torn one). Failures are counted and swallowed: the disk tier is
+    /// Persists `key → body` with `frame::write_atomic`, so a crash
+    /// mid-write leaves either the old entry or none — never a torn
+    /// one. Failures are counted and swallowed: the disk tier is
     /// an optimization, and losing a write costs a recompute after the
     /// next restart, nothing more.
     pub fn store(&self, key: &str, body: &str) {
@@ -207,10 +175,7 @@ impl DiskTier {
             if let Some(e) = chaos::io_error("cache.disk_write") {
                 return Err(e);
             }
-            let path = self.path_for(key);
-            let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-            std::fs::write(&tmp, encode(key, body))?;
-            std::fs::rename(&tmp, &path)
+            frame::write_atomic(&self.path_for(key), &encode(key, body))
         })();
         match result {
             Ok(()) => {
@@ -356,6 +321,8 @@ impl TieredCache {
 mod tests {
     use super::*;
 
+    const CORRUPT: Miss = Miss::Reject(Reject::Corrupt);
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("gem5prof-tier-test-{tag}-{}", std::process::id()));
@@ -370,27 +337,74 @@ mod tests {
         let body = r#"{"title":"Fig. 1","rows":[1,2,3]}"#;
         let bytes = encode(key, body);
         assert_eq!(decode(&bytes, key).unwrap(), body);
-        assert_eq!(decode(&bytes, "figure:fig02:quick"), Err(Reject::WrongKey));
+        assert_eq!(decode(&bytes, "figure:fig02:quick"), Err(Miss::WrongKey));
     }
 
     #[test]
     fn decode_rejects_corruption_and_stale_versions() {
         let bytes = encode("k", "body");
         // Truncation, bad magic, and a flipped body byte are corrupt.
-        assert_eq!(decode(&bytes[..bytes.len() - 1], "k"), Err(Reject::Corrupt));
+        assert_eq!(decode(&bytes[..bytes.len() - 1], "k"), Err(CORRUPT));
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert_eq!(decode(&bad_magic, "k"), Err(Reject::Corrupt));
+        assert_eq!(decode(&bad_magic, "k"), Err(CORRUPT));
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0xFF;
-        assert_eq!(decode(&flipped, "k"), Err(Reject::Corrupt));
+        assert_eq!(decode(&flipped, "k"), Err(CORRUPT));
         // A version bump makes the entry stale, not corrupt — but only
         // if the checksum still passes (version is outside the sum).
         let mut old = bytes.clone();
         old[4] = DISK_FORMAT_VERSION.wrapping_add(1);
-        assert_eq!(decode(&old, "k"), Err(Reject::Stale));
-        assert_eq!(decode(&[], "k"), Err(Reject::Corrupt));
+        assert_eq!(decode(&old, "k"), Err(Miss::Reject(Reject::Stale)));
+        assert_eq!(decode(&[], "k"), Err(CORRUPT));
+        // An intact frame whose payload layout is impossible is corrupt.
+        let short = frame::frame(MAGIC, DISK_FORMAT_VERSION, &[1, 0]);
+        assert_eq!(decode(&short, "k"), Err(CORRUPT));
+        let overlong_key = frame::frame(MAGIC, DISK_FORMAT_VERSION, &[9, 0, 0, 0, b'k']);
+        assert_eq!(decode(&overlong_key, "k"), Err(CORRUPT));
+    }
+
+    /// An entry in the version-1 layout (separate key and body lengths,
+    /// checksum over `key ++ body`).
+    fn v1_entry(key: &str, body: &str) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(1);
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(format!("{key}{body}").as_bytes()).to_le_bytes());
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(body.as_bytes());
+        out
+    }
+
+    #[test]
+    fn version_1_entries_are_never_served_and_are_replaced() {
+        let dir = tmpdir("v1");
+        let key = "figure:fig14:quick".to_string();
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            std::fs::write(tier.path_for(&key), v1_entry(&key, "{\"old\":1}")).unwrap();
+        }
+        let cache = TieredCache::new(8, Some(&dir));
+        assert_eq!(
+            cache.get(&key),
+            None,
+            "a version-1 entry must not be served"
+        );
+        let (disk, entries) = cache.disk_view().unwrap();
+        // Its header no longer parses, so it counts as corrupt.
+        assert_eq!((disk.corrupt, disk.stale, disk.misses), (1, 0, 1));
+        assert_eq!(entries, 1);
+        // The next write-behind replaces it, and a restart serves it.
+        cache.write_behind(&key, "{\"new\":2}");
+        let restarted = TieredCache::new(8, Some(&dir));
+        assert_eq!(
+            restarted.get(&key).as_deref().map(String::as_str),
+            Some("{\"new\":2}")
+        );
+        assert_eq!(restarted.disk_view().unwrap().1, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 # the cluster comparison: the same duplicate-heavy workload against one
 # node vs. four nodes behind the consistent-hash router, with the
 # fleet-wide compute count (must stay <= unique keys) — and the serving
-# core comparison: thread-per-connection vs readiness loop at 512
-# closed-loop clients, plus the 10 000-connection open-loop run — and
+# core at 512 closed-loop clients, plus the 10 000-connection open-loop
+# run — and
 # the microbench guest-MIPS matrix (every variant x Atomic/Timing, both
 # tiers, each run pinned by its guest checksum).
 set -eu
@@ -158,18 +158,11 @@ if [ "$FLEET_COMPUTES" -gt 2 ]; then
     exit 1
 fi
 
-# --- serving core: thread-per-conn vs readiness loop ------------------
-# The same 512-client closed-loop /healthz workload against the legacy
-# blocking core (--thread-per-conn, kept as the bench baseline) and the
-# readiness-loop core — then the regime only the readiness core can
-# hold: 10 000 concurrent open-loop connections from one generator
+# --- serving core: readiness loop ------------------------------------
+# A 512-client closed-loop /healthz workload against the readiness
+# core, then 10 000 concurrent open-loop connections from one generator
 # thread. The long idle timeout keeps early connections alive while the
 # later waves are still dialing.
-start_daemon --thread-per-conn --max-conns 12000 --read-timeout-ms 30000
-target/release/loadgen --addr "$ADDR" --clients 512 --requests 20 \
-    --paths /healthz --json > "$OUT_DIR/serving_threads.json"
-stop_daemon
-
 start_daemon --max-conns 12000 --read-timeout-ms 30000
 target/release/loadgen --addr "$ADDR" --clients 512 --requests 20 \
     --paths /healthz --json > "$OUT_DIR/serving_core.json"
@@ -216,7 +209,6 @@ BEGIN {
     nc = slurp(dir "/no_coalesce.json", "    ")
     c1 = slurp(dir "/cluster1.json", "    ")
     c4 = slurp(dir "/cluster4.json", "    ")
-    st = slurp(dir "/serving_threads.json", "    ")
     sc = slurp(dir "/serving_core.json", "    ")
     s10k = slurp(dir "/serving_10k.json", "    ")
     et = slurp(dir "/exec_tier.json", "  ")
@@ -236,7 +228,6 @@ BEGIN {
     print "    \"unique_keys\": 2"
     print "  },"
     print "  \"serving\": {"
-    print "    \"thread_per_conn_512\": " st ","
     print "    \"readiness_core_512\": " sc ","
     print "    \"open_loop_10k\": " s10k
     print "  },"

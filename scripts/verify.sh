@@ -8,13 +8,13 @@ cd "$(dirname "$0")/.."
 # --workspace so member binaries (gem5prof-served, servectl, loadgen)
 # are built too — the root package alone does not pull them in.
 cargo build --release --offline --workspace
-# The root suite includes the golden-output regression tests
-# (tests/golden_repro.rs) — every quick-fidelity figure/table diffed
-# byte-for-byte against tests/golden/, under both execution tiers —
-# and the interp-vs-block differential gate (tests/exec_tier_diff.rs):
-# kernels, fuzzed programs, multi-hart, and starved block caches.
-cargo test -q --offline
-cargo test -q --offline -p gem5prof-served
+# Every member crate's unit and integration tests, plus the root suite:
+# the golden-output regression tests (tests/golden_repro.rs) — every
+# quick-fidelity figure/table diffed byte-for-byte against tests/golden/,
+# under both execution tiers — and the interp-vs-block differential
+# gate (tests/exec_tier_diff.rs): kernels, fuzzed programs, multi-hart,
+# and starved block caches.
+cargo test -q --offline --workspace
 cargo fmt --check
 # Lint gate: every clippy warning fails the build.
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -1,9 +1,9 @@
 //! Adversarial-client end-to-end tests for the readiness-loop server
 //! core: slow-loris header drips, stalled readers that never drain
 //! their socket, connection-cap saturation, and streamed progress
-//! responses. Every test here would hang or fail on the old
-//! thread-per-connection core — a dripping client reset its per-read
-//! idle timeout forever and each held connection pinned an OS thread.
+//! responses. The invariants: dripped bytes never extend the read
+//! deadline, a client that stops reading is cut off by the write
+//! deadline, and held connections never cost the server a thread each.
 
 #![cfg(unix)]
 
@@ -98,9 +98,8 @@ fn slow_loris_drip_does_not_starve_healthy_clients() {
     });
 
     // Each loris was disconnected close to the read deadline: dripping
-    // bytes must not push the deadline out (the old blocking core reset
-    // its idle timeout on every byte, keeping the connection — and its
-    // thread — alive forever).
+    // bytes must not push the deadline out, or a client sending one
+    // byte per timeout could hold its connection forever.
     for lifetime in &lifetimes {
         assert!(
             *lifetime < Duration::from_secs(5),
